@@ -48,7 +48,7 @@ fn requests() -> Vec<String> {
 fn resolve(core: &Arc<ServeCore>, line: &str) -> String {
     match core.handle_line(line) {
         Outcome::Ready(p) => p,
-        Outcome::Pending(rx) => rx.recv().expect("job answers"),
+        Outcome::Pending { rx, .. } => rx.recv().expect("job answers"),
         Outcome::Shutdown(p) => p,
     }
 }

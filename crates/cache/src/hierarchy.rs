@@ -8,9 +8,7 @@
 //! the directory (the paper's algorithm (e): "update directory using the tag
 //! state of all the words of the dirty line").
 
-use std::collections::HashMap;
-
-use specrt_mem::LineAddr;
+use specrt_mem::{IdMap, LineAddr};
 
 use crate::tags::LineTags;
 
@@ -110,6 +108,13 @@ impl Level {
     }
 }
 
+/// State and access bits of one resident line.
+#[derive(Debug, Clone, Copy)]
+struct Resident {
+    state: LineState,
+    tags: LineTags,
+}
+
 /// One node's two-level cache hierarchy with access-bit arrays.
 ///
 /// # Examples
@@ -128,8 +133,15 @@ impl Level {
 pub struct CacheHierarchy {
     l1: Level,
     l2: Level,
-    state: HashMap<LineAddr, LineState>,
-    tags: HashMap<LineAddr, LineTags>,
+    /// Every resident line (the L2 occupants; L1 is a subset by inclusion).
+    lines: IdMap<LineAddr, Resident>,
+    /// L2 slots whose line had tracked tags handed out (`fill`, `set_tags`,
+    /// `tags_mut`) since the last qualified reset, each listed once (the
+    /// `listed` bitset). A slot holds one line at a time, so the list
+    /// covers whichever line occupies it when the reset runs, and the
+    /// reset costs O(lines touched) instead of O(resident lines).
+    touched: Vec<usize>,
+    listed: Vec<u64>,
     l1_hits: u64,
     l2_hits: u64,
     misses: u64,
@@ -156,8 +168,9 @@ impl CacheHierarchy {
         CacheHierarchy {
             l1: Level::new(config.l1_lines),
             l2: Level::new(config.l2_lines),
-            state: HashMap::new(),
-            tags: HashMap::new(),
+            lines: IdMap::default(),
+            touched: Vec::new(),
+            listed: vec![0; config.l2_lines.div_ceil(64)],
             l1_hits: 0,
             l2_hits: 0,
             misses: 0,
@@ -217,29 +230,26 @@ impl CacheHierarchy {
         );
         let victim = self.l2.install(line).map(|v| {
             self.l1.remove(v);
-            let dirty = self.state.remove(&v) == Some(LineState::Dirty);
-            let tags = self.tags.remove(&v).unwrap_or_else(LineTags::empty);
+            let r = self.lines.remove(&v).expect("L2 occupant is resident");
             Victim {
                 line: v,
-                dirty,
-                tags,
+                dirty: r.state == LineState::Dirty,
+                tags: r.tags,
             }
         });
         if let Some(prev) = self.l1.install(line) {
             debug_assert!(self.l2.holds(prev) || victim.as_ref().map(|v| v.line) == Some(prev));
         }
-        self.state.insert(line, state);
-        self.tags.insert(line, tags);
+        self.lines.insert(line, Resident { state, tags });
+        if tags.is_tracked() {
+            self.list(line);
+        }
         victim
     }
 
     /// Coherence state of `line`, if resident.
     pub fn state_of(&self, line: LineAddr) -> Option<LineState> {
-        if self.probe(line) == HitLevel::Miss {
-            None
-        } else {
-            self.state.get(&line).copied()
-        }
+        self.resident_entry(line).map(|r| r.state)
     }
 
     /// Marks a resident line dirty (a store hit on a clean-exclusive grant
@@ -249,11 +259,10 @@ impl CacheHierarchy {
     ///
     /// Panics if the line is not resident.
     pub fn mark_dirty(&mut self, line: LineAddr) {
-        assert!(
-            self.probe(line) != HitLevel::Miss,
-            "mark_dirty on absent line {line}"
-        );
-        self.state.insert(line, LineState::Dirty);
+        self.lines
+            .get_mut(&line)
+            .unwrap_or_else(|| panic!("mark_dirty on absent line {line}"))
+            .state = LineState::Dirty;
     }
 
     /// Downgrades a dirty line to clean (after a write-back that keeps the
@@ -263,56 +272,42 @@ impl CacheHierarchy {
     ///
     /// Panics if the line is not resident.
     pub fn mark_clean(&mut self, line: LineAddr) {
-        assert!(
-            self.probe(line) != HitLevel::Miss,
-            "mark_clean on absent line {line}"
-        );
-        self.state.insert(line, LineState::Clean);
+        self.lines
+            .get_mut(&line)
+            .unwrap_or_else(|| panic!("mark_clean on absent line {line}"))
+            .state = LineState::Clean;
     }
 
     /// Removes `line` from both levels, returning its state and tags (for
     /// write-back-and-invalidate transactions).
     pub fn invalidate(&mut self, line: LineAddr) -> Option<(LineState, LineTags)> {
-        if self.probe(line) == HitLevel::Miss {
-            return None;
-        }
+        let r = self.lines.remove(&line)?;
         self.l1.remove(line);
-        self.l2.remove(line);
-        let state = self.state.remove(&line)?;
-        let tags = self.tags.remove(&line).unwrap_or_else(LineTags::empty);
-        Some((state, tags))
+        let was_in_l2 = self.l2.remove(line);
+        debug_assert!(was_in_l2, "resident {line} missing from L2");
+        Some((r.state, r.tags))
     }
 
     /// Access bits of a resident line.
     pub fn tags_of(&self, line: LineAddr) -> Option<&LineTags> {
-        if self.probe(line) == HitLevel::Miss {
-            None
-        } else {
-            self.tags.get(&line)
-        }
+        self.resident_entry(line).map(|r| &r.tags)
     }
 
-    /// Mutable access bits of a resident line.
+    /// Mutable access bits of a resident line. The line is listed for the
+    /// next [`clear_iteration_bits`](Self::clear_iteration_bits), whatever
+    /// the caller writes.
     pub fn tags_mut(&mut self, line: LineAddr) -> Option<&mut LineTags> {
-        if self.probe(line) == HitLevel::Miss {
-            None
-        } else {
-            self.tags.get_mut(&line)
-        }
+        let r = self.lines.get_mut(&line)?;
+        list_slot(&mut self.listed, &mut self.touched, self.l2.slot_of(line));
+        Some(&mut r.tags)
     }
 
-    /// Empties the hierarchy, returning the dirty lines (the paper flushes
-    /// caches after every loop invocation "to mimic real conditions", §5.2).
+    /// Empties the hierarchy, returning the dirty lines in address order
+    /// (the paper flushes caches after every loop invocation "to mimic real
+    /// conditions", §5.2).
     pub fn flush(&mut self) -> Vec<Victim> {
         let mut victims: Vec<Victim> = Vec::new();
-        let mut lines: Vec<LineAddr> = self.state.keys().copied().collect();
-        lines.sort();
-        for line in lines {
-            // A line may be in `state` but no longer mapped (should not
-            // happen, but be defensive about slot aliasing bugs).
-            if self.probe(line) == HitLevel::Miss {
-                continue;
-            }
+        for line in self.resident() {
             let (state, tags) = self.invalidate(line).expect("resident line");
             if state == LineState::Dirty {
                 victims.push(Victim {
@@ -322,31 +317,38 @@ impl CacheHierarchy {
                 });
             }
         }
-        self.state.clear();
-        self.tags.clear();
+        self.unlist_all();
         victims
     }
 
     /// Clears the per-iteration privatization bits (`Read1st`/`Write`) of
     /// every resident tracked line — the hardware's qualified reset at the
-    /// start of each iteration (§4.1).
+    /// start of each iteration (§4.1). Only lines whose tags were handed
+    /// out since the previous reset can hold those bits, so only their
+    /// slots are visited.
     pub fn clear_iteration_bits(&mut self) {
-        for tags in self.tags.values_mut() {
-            tags.clear_iteration_bits();
+        for &slot in &self.touched {
+            if let Some(line) = self.l2.slots[slot] {
+                if let Some(r) = self.lines.get_mut(&line) {
+                    r.tags.clear_iteration_bits();
+                }
+            }
         }
+        self.unlist_all();
     }
 
     /// Clears *all* access bits of every resident line (loop start reset).
     pub fn clear_all_access_bits(&mut self) {
-        for tags in self.tags.values_mut() {
-            tags.clear();
+        for r in self.lines.values_mut() {
+            r.tags.clear();
         }
+        self.unlist_all();
     }
 
     /// All resident lines, in address order.
     pub fn resident(&self) -> Vec<LineAddr> {
-        let mut v: Vec<LineAddr> = self.state.keys().copied().collect();
-        v.sort();
+        let mut v: Vec<LineAddr> = self.lines.keys().copied().collect();
+        v.sort_unstable();
         v
     }
 
@@ -357,11 +359,13 @@ impl CacheHierarchy {
     ///
     /// Panics if the line is not resident.
     pub fn set_tags(&mut self, line: LineAddr, tags: LineTags) {
-        assert!(
-            self.probe(line) != HitLevel::Miss,
-            "set_tags on absent line {line}"
-        );
-        self.tags.insert(line, tags);
+        self.lines
+            .get_mut(&line)
+            .unwrap_or_else(|| panic!("set_tags on absent line {line}"))
+            .tags = tags;
+        if tags.is_tracked() {
+            self.list(line);
+        }
     }
 
     /// `(l1_hits, l2_hits, misses)` counters since construction/reset.
@@ -371,32 +375,62 @@ impl CacheHierarchy {
 
     /// Number of resident lines.
     pub fn resident_lines(&self) -> usize {
-        self.state.len()
+        self.lines.len()
     }
 
     /// Returns the hierarchy to its just-constructed state — slots empty,
     /// no line state or tags, hit counters zeroed — while keeping the slot
     /// vectors and map capacity allocated (machine reuse across requests).
     ///
-    /// Clears only the occupied slots: every occupant is a `state` key
-    /// (fill/displace/invalidate keep them in lockstep), so walking the
-    /// resident set beats memsetting the paper-sized slot vectors
+    /// Clears only the occupied slots: every occupant is a resident-map
+    /// key (fill/displace/invalidate keep them in lockstep), so walking
+    /// the resident set beats memsetting the paper-sized slot vectors
     /// (512 L1 + 8192 L2 entries) when only a handful of lines are live —
     /// which is the dominant reset cost under pooled machine reuse.
     pub fn reset(&mut self) {
-        for &line in self.state.keys() {
+        for &line in self.lines.keys() {
             self.l1.remove(line);
             self.l2.remove(line);
         }
         debug_assert!(
             self.l1.slots.iter().all(Option::is_none) && self.l2.slots.iter().all(Option::is_none),
-            "slot occupied by a line absent from `state`"
+            "slot occupied by a non-resident line"
         );
-        self.state.clear();
-        self.tags.clear();
+        self.lines.clear();
+        self.unlist_all();
         self.l1_hits = 0;
         self.l2_hits = 0;
         self.misses = 0;
+    }
+
+    /// The entry of a resident line. The map's keys are exactly the L2
+    /// occupants, so no slot probe is needed.
+    fn resident_entry(&self, line: LineAddr) -> Option<&Resident> {
+        let r = self.lines.get(&line);
+        debug_assert_eq!(r.is_some(), self.probe(line) != HitLevel::Miss);
+        r
+    }
+
+    /// Lists `line`'s L2 slot for the next qualified reset.
+    fn list(&mut self, line: LineAddr) {
+        list_slot(&mut self.listed, &mut self.touched, self.l2.slot_of(line));
+    }
+
+    /// Empties the touched list (every listed line was just reset or
+    /// dropped).
+    fn unlist_all(&mut self) {
+        for slot in self.touched.drain(..) {
+            self.listed[slot / 64] &= !(1 << (slot % 64));
+        }
+    }
+}
+
+/// Pushes `slot` onto the touched list unless its `listed` bit is set.
+fn list_slot(listed: &mut [u64], touched: &mut Vec<usize>, slot: usize) {
+    let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+    if listed[word] & bit == 0 {
+        listed[word] |= bit;
+        touched.push(slot);
     }
 }
 
@@ -525,6 +559,37 @@ mod tests {
         assert!(c.tags_of(LineAddr(1)).unwrap().get(0).no_shr());
         c.clear_all_access_bits();
         assert!(c.tags_of(LineAddr(1)).unwrap().get(0).is_clear());
+    }
+
+    #[test]
+    fn reset_visits_only_slots_handed_out_since_the_last_reset() {
+        let mut c = small();
+        for l in 0..8 {
+            let tags = if l < 4 {
+                LineTags::cleared(8)
+            } else {
+                LineTags::empty()
+            };
+            c.fill(LineAddr(l), LineState::Clean, tags);
+        }
+        // Tracked fills list their slots; untracked ones do not.
+        assert_eq!(c.touched, vec![0, 1, 2, 3]);
+        c.clear_iteration_bits();
+        assert!(c.touched.is_empty());
+        // A slot is listed once however often its lines are handed out,
+        // and the listing covers the line that occupies it at reset time.
+        c.tags_mut(LineAddr(1)).unwrap().get_mut(0).set_write(true);
+        c.tags_mut(LineAddr(1));
+        let v = c.fill(LineAddr(17), LineState::Clean, LineTags::cleared(8));
+        assert_eq!(v.map(|v| v.line), Some(LineAddr(1)));
+        c.tags_mut(LineAddr(17))
+            .unwrap()
+            .get_mut(0)
+            .set_read1st(true);
+        assert_eq!(c.touched, vec![1]);
+        c.clear_iteration_bits();
+        assert!(!c.tags_of(LineAddr(17)).unwrap().get(0).read1st());
+        assert!(c.touched.is_empty() && c.listed.iter().all(|&w| w == 0));
     }
 
     #[test]

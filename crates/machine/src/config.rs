@@ -1,6 +1,6 @@
 //! Machine-level configuration.
 
-use specrt_proto::{MemSystemConfig, NetConfig};
+use specrt_proto::{MemSystemConfig, NetConfig, SharerSet};
 
 /// Checkpointing cadence for [`RecoveryPolicy::CheckpointRestart`].
 ///
@@ -148,6 +148,56 @@ impl MachineConfig {
         self.recovery = recovery;
         self
     }
+
+    /// Largest accepted cache level, in 64-byte lines: eight times the
+    /// paper's 512-KiB L2.
+    pub const MAX_CACHE_LINES: usize = 65_536;
+
+    /// Largest accepted number of directory banks per node.
+    pub const MAX_DIR_BANKS: usize = 1_024;
+
+    /// Checks that a machine can be built from this configuration: the
+    /// processor count fits the directory's presence mask, both cache
+    /// levels and the directory banks are non-zero and within their
+    /// bounds, L2 is a multiple of L1 (inclusion with direct mapping), and
+    /// the fault rates are in range.
+    ///
+    /// # Errors
+    ///
+    /// Names the first offending field with its accepted range.
+    pub fn validate(&self) -> Result<(), String> {
+        let m = &self.mem;
+        if m.procs == 0 || m.procs > SharerSet::MAX_PROCS {
+            return Err(format!(
+                "procs={} out of range (accepted range: 1..={})",
+                m.procs,
+                SharerSet::MAX_PROCS
+            ));
+        }
+        let (l1, l2) = (m.cache.l1_lines, m.cache.l2_lines);
+        for (name, lines) in [("l1_lines", l1), ("l2_lines", l2)] {
+            if lines == 0 || lines > Self::MAX_CACHE_LINES {
+                return Err(format!(
+                    "{name}={lines} out of range (accepted range: 1..={})",
+                    Self::MAX_CACHE_LINES
+                ));
+            }
+        }
+        if !l2.is_multiple_of(l1) {
+            return Err(format!(
+                "l2_lines={l2} must be a multiple of l1_lines={l1} \
+                 (an inclusive direct-mapped L2 holds whole L1 images)"
+            ));
+        }
+        if m.dir_banks == 0 || m.dir_banks > Self::MAX_DIR_BANKS {
+            return Err(format!(
+                "dir_banks={} out of range (accepted range: 1..={})",
+                m.dir_banks,
+                Self::MAX_DIR_BANKS
+            ));
+        }
+        m.net.faults.validate()
+    }
 }
 
 #[cfg(test)]
@@ -171,6 +221,34 @@ mod tests {
         let c = MachineConfig::with_procs(16).with_net(NetConfig::mesh(16));
         assert!(c.mem.net.is_contended());
         assert!(!MachineConfig::default().mem.net.is_contended());
+    }
+
+    #[test]
+    fn validate_rejects_unbuildable_geometry() {
+        assert_eq!(MachineConfig::default().validate(), Ok(()));
+        let with = |f: &dyn Fn(&mut MachineConfig)| {
+            let mut c = MachineConfig::default();
+            f(&mut c);
+            c.validate()
+        };
+        assert!(with(&|c| c.mem.procs = 0).is_err());
+        assert!(with(&|c| c.mem.procs = 65).is_err());
+        assert!(with(&|c| c.mem.cache.l1_lines = 0).is_err());
+        assert!(with(&|c| c.mem.cache.l2_lines = 0).is_err());
+        assert!(with(&|c| c.mem.cache.l1_lines = 3).is_err());
+        assert!(with(&|c| c.mem.cache.l2_lines = 256).is_err());
+        assert!(with(&|c| c.mem.cache.l2_lines = 1 << 42).is_err());
+        assert!(with(&|c| c.mem.dir_banks = 0).is_err());
+        assert!(with(&|c| c.mem.dir_banks = 1 << 42).is_err());
+        assert!(with(&|c| c.mem.net.faults.drop_ppm = 2_000_000).is_err());
+        assert_eq!(
+            with(&|c| {
+                c.mem.cache.l1_lines = 3;
+                c.mem.cache.l2_lines = 9;
+                c.mem.dir_banks = MachineConfig::MAX_DIR_BANKS;
+            }),
+            Ok(())
+        );
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! that; the *cost* of the copies is charged separately by the machine layer
 //! (backup/restore are simulated as memory-to-memory copy loops).
 
-use std::collections::HashMap;
-
 use specrt_ir::{ArrayId, MemOracle, Scalar};
+
+use crate::idmap::IdMap;
 
 /// Values of every registered array.
 ///
@@ -20,7 +20,7 @@ use specrt_ir::{ArrayId, MemOracle, Scalar};
 /// the system runs (see DESIGN.md §3).
 #[derive(Debug, Clone, Default)]
 pub struct MemoryImage {
-    arrays: HashMap<ArrayId, Vec<Scalar>>,
+    arrays: IdMap<ArrayId, Vec<Scalar>>,
 }
 
 /// A saved copy of selected arrays, produced by [`MemoryImage::snapshot`].
@@ -151,7 +151,7 @@ impl MemoryImage {
         ids.iter().all(|&id| self.arr(id) == other.arr(id))
     }
 
-    /// Ids of all registered arrays, in unspecified order.
+    /// Ids of all registered arrays, in id order.
     pub fn array_ids(&self) -> Vec<ArrayId> {
         let mut v: Vec<_> = self.arrays.keys().copied().collect();
         v.sort();

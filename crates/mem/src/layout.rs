@@ -13,6 +13,7 @@ use std::fmt;
 use specrt_ir::ArrayId;
 
 use crate::addr::{LineAddr, PAddr, LINE_BYTES};
+use crate::idmap::IdMap;
 
 /// Element size of an array: the paper's workloads use 4-byte and 8-byte
 /// elements ("the array elements are 4 bytes" / "8 bytes", §5.2), and access
@@ -136,9 +137,10 @@ impl ArrayLayout {
 /// translation table.
 #[derive(Debug, Clone, Default)]
 pub struct AddressMap {
-    layouts: BTreeMap<ArrayId, ArrayLayout>,
-    // base address -> id, for binary-search reverse lookup.
-    by_base: BTreeMap<u64, ArrayId>,
+    // Forward lookup on every simulated access.
+    layouts: IdMap<ArrayId, ArrayLayout>,
+    // Base address -> layout, for predecessor-search reverse lookup.
+    by_base: BTreeMap<u64, ArrayLayout>,
 }
 
 impl AddressMap {
@@ -159,8 +161,7 @@ impl AddressMap {
             "array {} registered twice",
             layout.id
         );
-        if let Some((_, prev_id)) = self.by_base.range(..=layout.base.0).next_back() {
-            let prev = self.layouts[prev_id];
+        if let Some((_, prev)) = self.by_base.range(..=layout.base.0).next_back() {
             assert!(
                 prev.end() <= layout.base || layout.len == 0,
                 "array {} overlaps {}",
@@ -168,8 +169,7 @@ impl AddressMap {
                 prev.id
             );
         }
-        if let Some((_, next_id)) = self.by_base.range(layout.base.0 + 1..).next() {
-            let next = self.layouts[next_id];
+        if let Some((_, next)) = self.by_base.range(layout.base.0 + 1..).next() {
             assert!(
                 layout.end() <= next.base,
                 "array {} overlaps {}",
@@ -177,11 +177,12 @@ impl AddressMap {
                 next.id
             );
         }
-        self.by_base.insert(layout.base.0, layout.id);
+        self.by_base.insert(layout.base.0, layout);
         self.layouts.insert(layout.id, layout);
     }
 
     /// Layout of `id`, if registered.
+    #[inline]
     pub fn get(&self, id: ArrayId) -> Option<&ArrayLayout> {
         self.layouts.get(&id)
     }
@@ -191,6 +192,7 @@ impl AddressMap {
     /// # Panics
     ///
     /// Panics if `id` was never registered.
+    #[inline]
     pub fn layout(&self, id: ArrayId) -> &ArrayLayout {
         self.get(id)
             .unwrap_or_else(|| panic!("array {id} not registered"))
@@ -198,14 +200,15 @@ impl AddressMap {
 
     /// Reverse lookup: which array and element does `addr` belong to?
     pub fn locate(&self, addr: PAddr) -> Option<(ArrayId, u64)> {
-        let (_, id) = self.by_base.range(..=addr.0).next_back()?;
-        let layout = self.layouts[id];
-        layout.elem_at(addr).map(|e| (*id, e))
+        let (_, layout) = self.by_base.range(..=addr.0).next_back()?;
+        layout.elem_at(addr).map(|e| (layout.id, e))
     }
 
     /// Iterates over all registered layouts in id order.
     pub fn iter(&self) -> impl Iterator<Item = &ArrayLayout> + '_ {
-        self.layouts.values()
+        let mut v: Vec<&ArrayLayout> = self.layouts.values().collect();
+        v.sort_by_key(|l| l.id);
+        v.into_iter()
     }
 
     /// Number of registered arrays.

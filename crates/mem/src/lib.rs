@@ -16,16 +16,20 @@
 //!   a physical address to `(array, element)` is what the paper's directory
 //!   *translation table* performs in hardware (§4.2) ([`layout`]);
 //! * the **functional memory image**: current scalar value of every array
-//!   element, with snapshot/restore used for speculative backup ([`image`]).
+//!   element, with snapshot/restore used for speculative backup ([`image`]);
+//! * [`IdMap`], the hash map every layer uses for ids the simulator
+//!   generates itself ([`idmap`]).
 //!
 //! [`ArrayId`]: specrt_ir::ArrayId
 
 pub mod addr;
+pub mod idmap;
 pub mod image;
 pub mod layout;
 pub mod numa;
 
 pub use addr::{LineAddr, NodeId, PAddr, PageAddr, ProcId, LINE_BYTES, PAGE_BYTES};
+pub use idmap::{IdHasher, IdMap};
 pub use image::{ArrayBackup, MemoryImage};
 pub use layout::{AddressMap, ArrayLayout, ElemSize};
 pub use numa::{NumaAllocator, PlacementPolicy};

@@ -6,8 +6,6 @@
 //! private copies of arrays under test and the software scheme's private
 //! shadow arrays are placed in the local memory of the owning processor.
 
-use std::collections::BTreeMap;
-
 use specrt_ir::ArrayId;
 
 use crate::addr::{NodeId, PAddr, PageAddr, PAGE_BYTES};
@@ -45,7 +43,9 @@ pub struct NumaAllocator {
     nodes: u32,
     next_page: u64,
     rr_cursor: u32,
-    homes: BTreeMap<PageAddr, NodeId>,
+    // Home of page `p` at index `p - 1`: pages are handed out densely
+    // from 1, so the table is indexed, not searched.
+    homes: Vec<NodeId>,
     map: AddressMap,
 }
 
@@ -63,7 +63,7 @@ impl NumaAllocator {
             // address; helps catch uninitialized-address bugs.
             next_page: 1,
             rr_cursor: 0,
-            homes: BTreeMap::new(),
+            homes: Vec::new(),
             map: AddressMap::new(),
         }
     }
@@ -89,8 +89,7 @@ impl NumaAllocator {
         let pages = bytes.div_ceil(PAGE_BYTES);
         let first_page = self.next_page;
         self.next_page += pages;
-        for p in 0..pages {
-            let page = PageAddr(first_page + p);
+        for _ in 0..pages {
             let home = match policy {
                 PlacementPolicy::RoundRobin => {
                     let n = NodeId(self.rr_cursor);
@@ -102,8 +101,9 @@ impl NumaAllocator {
                     node
                 }
             };
-            self.homes.insert(page, home);
+            self.homes.push(home);
         }
+        debug_assert_eq!(self.homes.len() as u64, self.next_page - 1);
         let layout = ArrayLayout {
             id,
             base: PageAddr(first_page).base(),
@@ -132,11 +132,13 @@ impl NumaAllocator {
     /// # Panics
     ///
     /// Panics if `addr` was never allocated.
+    #[inline]
     pub fn home_of(&self, addr: PAddr) -> NodeId {
-        *self
-            .homes
-            .get(&addr.page())
-            .unwrap_or_else(|| panic!("address {addr} not allocated"))
+        let page = addr.page().0;
+        match page.checked_sub(1).and_then(|i| self.homes.get(i as usize)) {
+            Some(&home) => home,
+            None => panic!("address {addr} not allocated"),
+        }
     }
 
     /// The registered address map (forward and reverse array lookup).

@@ -6,10 +6,8 @@
 //! bit table indexed through the translation table) and compute the home
 //! node only for timing.
 
-use std::collections::HashMap;
-
 use specrt_ir::ArrayId;
-use specrt_mem::ProcId;
+use specrt_mem::{IdMap, ProcId};
 use specrt_spec::{
     NonPrivDirElem, PrivNoReadInPrivate, PrivNoReadInShared, PrivPrivateElem, PrivSharedElem,
 };
@@ -18,7 +16,7 @@ use specrt_spec::{
 /// that test.
 #[derive(Debug, Clone, Default)]
 pub struct NonPrivStore {
-    arrays: HashMap<ArrayId, Vec<NonPrivDirElem>>,
+    arrays: IdMap<ArrayId, Vec<NonPrivDirElem>>,
 }
 
 impl NonPrivStore {
@@ -71,7 +69,7 @@ impl NonPrivStore {
 /// arrays.
 #[derive(Debug, Clone, Default)]
 pub struct PrivSharedStore {
-    arrays: HashMap<ArrayId, Vec<PrivSharedElem>>,
+    arrays: IdMap<ArrayId, Vec<PrivSharedElem>>,
 }
 
 impl PrivSharedStore {
@@ -123,12 +121,12 @@ impl PrivSharedStore {
 /// (array, processor).
 #[derive(Debug, Clone, Default)]
 pub struct PrivPrivateStore {
-    copies: HashMap<(ArrayId, ProcId), Vec<PrivPrivateElem>>,
+    copies: IdMap<(ArrayId, ProcId), Vec<PrivPrivateElem>>,
     // Sticky per-element "has been read in / written" marks. Unlike the
     // stamps, these survive §3.3 stamp-window resets: the private copy's
     // data remains valid across windows, so the read-in decision must not
     // re-trigger (it would reload stale shared data over private updates).
-    touched: HashMap<(ArrayId, ProcId), Vec<bool>>,
+    touched: IdMap<(ArrayId, ProcId), Vec<bool>>,
 }
 
 impl PrivPrivateStore {
@@ -279,7 +277,7 @@ mod tests {
 /// Shared-directory reduced (no-read-in) privatization bits (Figure 5-b).
 #[derive(Debug, Clone, Default)]
 pub struct Priv3SharedStore {
-    arrays: HashMap<ArrayId, Vec<PrivNoReadInShared>>,
+    arrays: IdMap<ArrayId, Vec<PrivNoReadInShared>>,
 }
 
 impl Priv3SharedStore {
@@ -331,7 +329,12 @@ impl Priv3SharedStore {
 /// (`Read1st`/`Write`/`WriteAny`, §4.1).
 #[derive(Debug, Clone, Default)]
 pub struct Priv3PrivateStore {
-    copies: HashMap<(ArrayId, ProcId), Vec<PrivNoReadInPrivate>>,
+    copies: IdMap<(ArrayId, ProcId), Vec<PrivNoReadInPrivate>>,
+    // Per processor, the elements whose `Read1st`/`Write` bits are up.
+    // [`Self::set`] lists an element when the first of them goes up (the
+    // protocol steps only ever raise them), so each is listed once and
+    // the per-iteration reset visits exactly those elements.
+    touched: Vec<Vec<(ArrayId, u64)>>,
 }
 
 impl Priv3PrivateStore {
@@ -346,6 +349,10 @@ impl Priv3PrivateStore {
             (arr, proc),
             vec![PrivNoReadInPrivate::default(); len as usize],
         );
+        let p = proc.0 as usize;
+        if self.touched.len() <= p {
+            self.touched.resize_with(p + 1, Vec::new);
+        }
     }
 
     /// Element accessor.
@@ -357,27 +364,34 @@ impl Priv3PrivateStore {
         &self.copies[&(arr, proc)][idx as usize]
     }
 
-    /// Mutable element accessor.
+    /// Stores the successor state of one element.
     ///
     /// # Panics
     ///
     /// Panics if unregistered/out of range.
-    pub fn elem_mut(&mut self, arr: ArrayId, proc: ProcId, idx: u64) -> &mut PrivNoReadInPrivate {
-        &mut self
+    pub fn set(&mut self, arr: ArrayId, proc: ProcId, idx: u64, next: PrivNoReadInPrivate) {
+        let e = &mut self
             .copies
             .get_mut(&(arr, proc))
-            .expect("private copy registered")[idx as usize]
+            .expect("private copy registered")[idx as usize];
+        if !(e.read1st || e.write) && (next.read1st || next.write) {
+            self.touched[proc.0 as usize].push((arr, idx));
+        }
+        *e = next;
     }
 
     /// The hardware's per-iteration qualified reset: clears `Read1st` and
-    /// `Write` (but not `WriteAny`) for every element of `proc`'s copies.
+    /// `Write` (but not `WriteAny`) of every element of `proc`'s copies.
+    /// Only elements listed by [`Self::set`] can hold those bits.
     pub fn clear_iteration_bits(&mut self, proc: ProcId) {
-        for ((_, p), v) in self.copies.iter_mut() {
-            if *p == proc {
-                for e in v {
-                    e.clear_iteration();
-                }
-            }
+        let Some(list) = self.touched.get_mut(proc.0 as usize) else {
+            return;
+        };
+        for (arr, idx) in list.drain(..) {
+            self.copies
+                .get_mut(&(arr, proc))
+                .expect("private copy registered")[idx as usize]
+                .clear_iteration();
         }
     }
 
@@ -387,6 +401,9 @@ impl Priv3PrivateStore {
             for e in v {
                 e.clear();
             }
+        }
+        for list in &mut self.touched {
+            list.clear();
         }
     }
 }
@@ -407,12 +424,85 @@ mod priv3_tests {
 
         let mut p = Priv3PrivateStore::new();
         p.register(ArrayId(0), ProcId(0), 2);
-        p.elem_mut(ArrayId(0), ProcId(0), 0).on_write().unwrap();
+        let mut e = *p.elem(ArrayId(0), ProcId(0), 0);
+        e.on_write().unwrap();
+        p.set(ArrayId(0), ProcId(0), 0, e);
         assert!(p.elem(ArrayId(0), ProcId(0), 0).write);
         p.clear_iteration_bits(ProcId(0));
         assert!(!p.elem(ArrayId(0), ProcId(0), 0).write);
         assert!(p.elem(ArrayId(0), ProcId(0), 0).write_any);
         p.clear();
         assert!(p.elem(ArrayId(0), ProcId(0), 0).is_untouched());
+    }
+
+    /// The touched-list reset against a full walk: random reads and
+    /// writes through `ProtocolSpec::private3_step`, per-processor resets
+    /// and whole-store clears. The reference clears the iteration bits of
+    /// every element of the processor; the store, which visits only the
+    /// elements it listed, must agree everywhere — `WriteAny` included.
+    #[test]
+    fn priv3_iteration_reset_matches_a_full_walk() {
+        use specrt_engine::SplitMix64;
+        use specrt_spec::ProtocolSpec;
+
+        let mut rng = SplitMix64::new(0x0b17_5003);
+        for _case in 0..64 {
+            let procs = rng.range(1, 5) as u32;
+            let arrays: Vec<(ArrayId, u64)> = (0..rng.range(1, 4))
+                .map(|a| (ArrayId(a as u32 * 7), rng.range(1, 24)))
+                .collect();
+            let mut store = Priv3PrivateStore::new();
+            let mut model: Vec<Vec<Vec<PrivNoReadInPrivate>>> = Vec::new();
+            for &(arr, len) in &arrays {
+                model.push(vec![
+                    vec![PrivNoReadInPrivate::default(); len as usize];
+                    procs as usize
+                ]);
+                for p in 0..procs {
+                    store.register(arr, ProcId(p), len);
+                }
+            }
+            for _op in 0..rng.range(10, 400) {
+                let p = rng.below(procs as u64) as usize;
+                match rng.below(8) {
+                    0 => {
+                        store.clear_iteration_bits(ProcId(p as u32));
+                        for copy in &mut model {
+                            for e in &mut copy[p] {
+                                e.clear_iteration();
+                            }
+                        }
+                    }
+                    1 if rng.chance(0.05) => {
+                        store.clear();
+                        for copy in &mut model {
+                            for e in copy.iter_mut().flatten() {
+                                e.clear();
+                            }
+                        }
+                    }
+                    _ => {
+                        let a = rng.below(arrays.len() as u64) as usize;
+                        let (arr, len) = arrays[a];
+                        let idx = rng.below(len);
+                        let cur = *store.elem(arr, ProcId(p as u32), idx);
+                        let (next, _) = ProtocolSpec::private3_step(cur, rng.chance(0.5));
+                        store.set(arr, ProcId(p as u32), idx, next);
+                        model[a][p][idx as usize] = next;
+                    }
+                }
+                for (a, &(arr, len)) in arrays.iter().enumerate() {
+                    for q in 0..procs {
+                        for idx in 0..len {
+                            assert_eq!(
+                                *store.elem(arr, ProcId(q), idx),
+                                model[a][q as usize][idx as usize],
+                                "{arr}[{idx}] of proc {q}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

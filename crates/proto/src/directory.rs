@@ -7,10 +7,9 @@
 //! is what the paper's protocol extensions lean on to keep their data races
 //! resolvable.
 
-use std::collections::HashMap;
 use std::fmt;
 
-use specrt_mem::{LineAddr, ProcId};
+use specrt_mem::{IdMap, LineAddr, ProcId};
 
 /// Full-map presence bits: the set of processors holding a clean copy.
 ///
@@ -161,7 +160,7 @@ impl DirLineState {
 /// Lines not present in the map are `Uncached`; the map is populated lazily.
 #[derive(Debug, Clone, Default)]
 pub struct DirectoryNode {
-    lines: HashMap<LineAddr, DirLineState>,
+    lines: IdMap<LineAddr, DirLineState>,
 }
 
 impl DirectoryNode {

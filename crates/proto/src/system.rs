@@ -1159,7 +1159,7 @@ impl MemSystem {
             ProtocolSpec::private3_step(cur, write),
             "ProtocolSpec::private3_step must be deterministic"
         );
-        *self.priv3_private.elem_mut(arr, proc, idx) = next;
+        self.priv3_private.set(arr, proc, idx, next);
         r
     }
 
@@ -1986,9 +1986,7 @@ impl MemSystem {
         self.dirs[home.0 as usize].set_dirty(line, proc);
         let cache = &mut self.caches[proc.0 as usize];
         cache.mark_dirty(line);
-        if let Some(t) = cache.tags_mut(line) {
-            *t = new_tags;
-        }
+        cache.set_tags(line, new_tags);
         self.finish_round_trip(proc.node(), home, now, req, end, base + queue)
     }
 

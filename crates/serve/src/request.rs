@@ -387,6 +387,11 @@ fn override_u64(v: &Json, key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("config.{key} must be an unsigned integer"))
 }
 
+fn override_usize(v: &Json, key: &str) -> Result<usize, String> {
+    let n = override_u64(v, key)?;
+    usize::try_from(n).map_err(|_| format!("config.{key}={n} out of range"))
+}
+
 fn override_bool(v: &Json, key: &str) -> Result<bool, String> {
     v.as_bool()
         .ok_or_else(|| format!("config.{key} must be a boolean"))
@@ -413,6 +418,10 @@ fn override_ppm(v: &Json, key: &str) -> Result<u32, String> {
 /// optional `node_fault_at_cycle` (default 0) and — for pause/partition —
 /// `node_fault_for_cycles`. `checkpoint_every` selects
 /// [`RecoveryPolicy::CheckpointRestart`] with that snapshot cadence.
+///
+/// The result must pass [`MachineConfig::validate`]: zero, oversized or
+/// non-inclusive cache and bank geometry (`l1_lines`, `l2_lines`,
+/// `dir_banks`) is an error, never clamped.
 pub fn apply_overrides(cfg: &mut MachineConfig, overrides: &Json) -> Result<(), String> {
     let fields = match overrides {
         Json::Obj(fields) => fields,
@@ -435,8 +444,8 @@ pub fn apply_overrides(cfg: &mut MachineConfig, overrides: &Json) -> Result<(), 
     for (k, val) in fields {
         match k.as_str() {
             "procs" => {} // first pass
-            "l1_lines" => cfg.mem.cache.l1_lines = override_u64(val, k)?.max(1) as usize,
-            "l2_lines" => cfg.mem.cache.l2_lines = override_u64(val, k)?.max(1) as usize,
+            "l1_lines" => cfg.mem.cache.l1_lines = override_usize(val, k)?,
+            "l2_lines" => cfg.mem.cache.l2_lines = override_usize(val, k)?,
             "l1_hit" => cfg.mem.latency.l1_hit = override_u64(val, k)?,
             "l2_hit" => cfg.mem.latency.l2_hit = override_u64(val, k)?,
             "local_mem" => cfg.mem.latency.local_mem = override_u64(val, k)?,
@@ -447,7 +456,7 @@ pub fn apply_overrides(cfg: &mut MachineConfig, overrides: &Json) -> Result<(), 
             "net_oneway" => cfg.mem.latency.net_oneway = override_u64(val, k)?,
             "mem_service" => cfg.mem.latency.mem_service = override_u64(val, k)?,
             "update_service" => cfg.mem.latency.update_service = override_u64(val, k)?,
-            "dir_banks" => cfg.mem.dir_banks = override_u64(val, k)?.max(1) as usize,
+            "dir_banks" => cfg.mem.dir_banks = override_usize(val, k)?,
             "topology" => match val.as_str() {
                 Some("flat") => cfg.mem.net = NetConfig::flat(),
                 Some("mesh") => cfg.mem.net = NetConfig::mesh(cfg.mem.procs),
@@ -543,14 +552,10 @@ pub fn apply_overrides(cfg: &mut MachineConfig, overrides: &Json) -> Result<(), 
             at_cycle: nf_at.unwrap_or(0),
         });
     }
-    // Reject rate combinations the fault plane would panic on, with the
-    // accepted range in the message.
-    cfg.mem
-        .net
-        .faults
-        .validate()
-        .map_err(|e| format!("config: {e}"))?;
-    Ok(())
+    // Reject what the machine would panic on or fail to allocate (cache
+    // and bank geometry, fault rates), with the accepted range in the
+    // message.
+    cfg.validate().map_err(|e| format!("config: {e}"))
 }
 
 #[cfg(test)]

@@ -71,10 +71,10 @@ fn drain_outcomes<W: Write>(rx: mpsc::Receiver<Outcome>, mut writer: W) -> io::R
     for outcome in rx {
         let line = match outcome {
             Outcome::Ready(p) => p,
-            Outcome::Pending(done) => done.recv().unwrap_or_else(|_| {
+            Outcome::Pending { id, rx } => rx.recv().unwrap_or_else(|_| {
                 // The job's sender dropped without answering: it panicked
                 // (the pool caught it and survived).
-                crate::service::error_payload(&None, "internal: simulation job died", false)
+                crate::service::error_payload(&id, "internal: simulation job died", false)
             }),
             Outcome::Shutdown(p) => {
                 shutdown = true;
@@ -153,5 +153,35 @@ impl Server {
             let _ = c.join();
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use specrt_check::Json;
+
+    #[test]
+    fn a_dead_job_is_answered_under_its_request_id() {
+        let (tx, rx) = mpsc::sync_channel(4);
+        let (job_tx, job_rx) = mpsc::channel::<String>();
+        drop(job_tx);
+        tx.send(Outcome::Pending {
+            id: Some("\"req-9\"".to_string()),
+            rx: job_rx,
+        })
+        .unwrap();
+        drop(tx);
+        let mut out: Vec<u8> = Vec::new();
+        assert!(!drain_outcomes(rx, &mut out).unwrap());
+        let line = String::from_utf8(out).unwrap();
+        let v = Json::parse(line.trim_end()).unwrap();
+        assert_eq!(v.get("id").and_then(Json::as_str), Some("req-9"));
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
+        assert_eq!(v.get("retryable").and_then(Json::as_bool), Some(false));
+        assert_eq!(
+            v.get("error").and_then(Json::as_str),
+            Some("internal: simulation job died")
+        );
     }
 }

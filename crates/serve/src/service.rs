@@ -63,9 +63,15 @@ impl Default for ServeConfig {
 pub enum Outcome {
     /// The response is already rendered (admin, cache hit, error, busy).
     Ready(String),
-    /// The response arrives on this receiver when the simulation
-    /// completes. A dropped sender means the job died (panicked).
-    Pending(mpsc::Receiver<String>),
+    /// The response arrives on `rx` when the simulation completes. A
+    /// dropped sender means the job died (panicked); `id` is the request's
+    /// raw id, so the error sent instead still names its request.
+    Pending {
+        /// The request's `id`, as raw JSON.
+        id: Option<String>,
+        /// Resolves to the rendered response.
+        rx: mpsc::Receiver<String>,
+    },
     /// The response is rendered and the service should stop afterwards.
     Shutdown(String),
 }
@@ -153,7 +159,7 @@ impl ServeCore {
         self.with_metrics(|m| m.incr("serve.cache_misses", 1));
         let (tx, rx) = mpsc::channel();
         let core = Arc::clone(self);
-        let busy_id = id.clone();
+        let reply_id = id.clone();
         let submitted = self.pool.submit(lane, move || {
             let _prof = specrt_prof::scope("serve.execute");
             let (payload, stats) = execute_job(&job);
@@ -171,12 +177,12 @@ impl ServeCore {
         match submitted {
             Ok(()) => {
                 self.in_flight.fetch_add(1, Ordering::Relaxed);
-                Outcome::Pending(rx)
+                Outcome::Pending { id: reply_id, rx }
             }
             Err(q) => {
                 self.with_metrics(|m| m.incr("serve.busy_rejections", 1));
                 Outcome::Ready(error_payload(
-                    &busy_id,
+                    &reply_id,
                     &format!("busy: {} queue full, retry later", q.0.name()),
                     true,
                 ))

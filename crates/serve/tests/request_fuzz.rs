@@ -6,10 +6,13 @@
 //! structured `{"ok":false}` response the client can read — a malformed
 //! request may cost the sender an error, never the service a thread.
 
+use std::io::Cursor;
+
 use specrt_check::Json;
 use specrt_engine::SplitMix64;
 use specrt_serve::request::{extract_id, parse_request};
 use specrt_serve::service::error_payload;
+use specrt_serve::{serve_connection, ServeConfig, ServeCore};
 
 /// Known-good request lines covering every op and the override surface
 /// (message faults, node faults, checkpointing included).
@@ -132,6 +135,8 @@ fn degenerate_lines_are_rejected_not_panicked() {
         "{\"op\":\"workload\"}",
         "{\"op\":\"workload\",\"name\":\"ocean\",\"invocation\":99999}",
         "{\"op\":\"case\",\"seed\":1,\"config\":{\"procs\":65}}",
+        "{\"op\":\"case\",\"seed\":1,\"config\":{\"l1_lines\":0}}",
+        "{\"op\":\"case\",\"seed\":1,\"config\":{\"dir_banks\":0}}",
         "{\"op\":\"case\",\"seed\":1,\"config\":{\"drop_ppm\":4294967297}}",
         "{\"op\":\"case\",\"seed\":1,\"config\":{\"node_fault_kind\":\"crash\",\"node_fault_node\":1,\"node_fault_for_cycles\":7}}",
     ] {
@@ -144,4 +149,44 @@ fn degenerate_lines_are_rejected_not_panicked() {
             assert!(parse_request(line).is_err());
         }
     }
+}
+
+/// Cache and bank geometry the machine cannot be built from: a non-multiple
+/// L1/L2 pair used to panic a pool worker at construction, and the two
+/// huge sizes used to abort the whole process on allocation. Each is
+/// answered `ok:false, retryable:false` under its id, and the service
+/// keeps answering: the ping pipelined behind them gets its pong.
+#[test]
+fn unbuildable_geometry_is_rejected_and_the_service_survives() {
+    let bad = [
+        r#"{"id":1,"op":"case","seed":3,"config":{"l1_lines":3,"l2_lines":8}}"#,
+        r#"{"id":2,"op":"case","seed":3,"config":{"l2_lines":4398046511104}}"#,
+        r#"{"id":3,"op":"workload","name":"adm","config":{"dir_banks":4398046511104}}"#,
+    ];
+    let core = ServeCore::new(ServeConfig {
+        workers: 1,
+        queue_depth: 4,
+        cache_capacity: 4,
+    });
+    let mut input = bad.join("\n");
+    input.push_str("\n{\"id\":4,\"op\":\"ping\"}\n");
+    let mut out: Vec<u8> = Vec::new();
+    serve_connection(&core, Cursor::new(input), &mut out).expect("session io");
+    let lines: Vec<Json> = String::from_utf8(out)
+        .expect("utf8 output")
+        .lines()
+        .map(|l| Json::parse(l).expect("response is JSON"))
+        .collect();
+    assert_eq!(lines.len(), 4);
+    for (i, v) in lines[..3].iter().enumerate() {
+        assert_eq!(v.get("id").and_then(Json::as_u64), Some(i as u64 + 1));
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false), "{v:?}");
+        assert_eq!(v.get("retryable").and_then(Json::as_bool), Some(false));
+        assert!(v
+            .get("error")
+            .and_then(Json::as_str)
+            .is_some_and(|e| e.starts_with("config: ")));
+    }
+    assert_eq!(lines[3].get("id").and_then(Json::as_u64), Some(4));
+    assert_eq!(lines[3].get("result").and_then(Json::as_str), Some("pong"));
 }

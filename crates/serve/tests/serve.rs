@@ -34,7 +34,7 @@ fn session(core: &Arc<ServeCore>, input: &str) -> Vec<String> {
 fn one(core: &Arc<ServeCore>, line: &str) -> String {
     match core.handle_line(line) {
         Outcome::Ready(p) => p,
-        Outcome::Pending(rx) => rx.recv().expect("job answered"),
+        Outcome::Pending { rx, .. } => rx.recv().expect("job answered"),
         Outcome::Shutdown(p) => p,
     }
 }

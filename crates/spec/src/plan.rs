@@ -8,8 +8,6 @@
 //! contents, keyed by logical array (the physical-range lookup itself is
 //! `specrt_mem::AddressMap`).
 
-use std::collections::BTreeMap;
-
 use specrt_ir::ArrayId;
 
 /// Protocol assigned to one array for a speculative loop.
@@ -62,7 +60,10 @@ impl ProtocolKind {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TestPlan {
-    kinds: BTreeMap<ArrayId, ProtocolKind>,
+    // Sorted by id. A loop tests a handful of arrays, so the per-access
+    // `kind_of` scans this flat vector instead of walking a tree, and
+    // `arrays_under_test` reads it in id order as it is.
+    kinds: Vec<(ArrayId, ProtocolKind)>,
 }
 
 impl TestPlan {
@@ -74,24 +75,28 @@ impl TestPlan {
     /// Assigns `kind` to `array`. Assigning [`ProtocolKind::Plain`] removes
     /// any previous assignment.
     pub fn set(&mut self, array: ArrayId, kind: ProtocolKind) {
-        if kind == ProtocolKind::Plain {
-            self.kinds.remove(&array);
-        } else {
-            self.kinds.insert(array, kind);
+        match self.kinds.binary_search_by_key(&array, |&(a, _)| a) {
+            Ok(i) if kind == ProtocolKind::Plain => {
+                self.kinds.remove(i);
+            }
+            Ok(i) => self.kinds[i].1 = kind,
+            Err(_) if kind == ProtocolKind::Plain => {}
+            Err(i) => self.kinds.insert(i, (array, kind)),
         }
     }
 
     /// The protocol for `array` ([`ProtocolKind::Plain`] if unassigned).
+    #[inline]
     pub fn kind_of(&self, array: ArrayId) -> ProtocolKind {
         self.kinds
-            .get(&array)
-            .copied()
-            .unwrap_or(ProtocolKind::Plain)
+            .iter()
+            .find(|&&(a, _)| a == array)
+            .map_or(ProtocolKind::Plain, |&(_, k)| k)
     }
 
     /// All arrays under test, in id order.
     pub fn arrays_under_test(&self) -> impl Iterator<Item = (ArrayId, ProtocolKind)> + '_ {
-        self.kinds.iter().map(|(a, k)| (*a, *k))
+        self.kinds.iter().copied()
     }
 
     /// Arrays under the non-privatization test.

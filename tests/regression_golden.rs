@@ -8,7 +8,7 @@
 //! behaviour-preserving.
 
 use specrt::machine::{run_scenario, Scenario, SwVariant};
-use specrt::workloads::{adm, ocean, track};
+use specrt::workloads::{adm, ocean, p3m, track, Scale};
 
 #[test]
 fn ocean_first_invocation_is_pinned() {
@@ -47,6 +47,55 @@ fn track_paired_instance_abort_point_is_pinned() {
     let hw = run_scenario(&spec, Scenario::Hw, 16);
     assert_eq!(hw.passed, Some(false));
     insta_like("track abort iterations", hw.iterations, 11);
+}
+
+#[test]
+fn p3m_first_invocation_hw_is_pinned() {
+    // The no-read-in privatization path: every iteration writes the
+    // privatized workspace, so the per-iteration reset of the private
+    // directory's Read1st/Write bits runs on every processor.
+    let w = p3m::workload(Scale::Smoke);
+    let hw = run_scenario(&w.invocations[0], Scenario::Hw, w.procs);
+    assert_eq!(hw.passed, Some(true));
+    insta_like("p3m hw", hw.total_cycles.raw(), 18_217);
+    pinned_stats(
+        "p3m hw",
+        &hw.stats.to_string(),
+        "invalidations: 33\n\
+         owner_fetches: 219\n\
+         priv_first_write_shared: 5746\n\
+         priv_first_write_signals: 5746\n\
+         transactions: 1748\n\
+         update_messages: 5746\n\
+         upgrades: 1\n",
+    );
+}
+
+#[test]
+fn ocean_first_invocation_sw_iteration_wise_is_pinned() {
+    // The software scheme's shadow-marking loop with iteration-wise
+    // stamps: plain-coherence traffic on the shadow arrays only.
+    let spec = ocean::instance(0, false);
+    let sw = run_scenario(&spec, Scenario::Sw(SwVariant::IterationWise), 8);
+    assert_eq!(sw.passed, Some(true));
+    insta_like("ocean sw(iter)", sw.total_cycles.raw(), 3_992_449);
+    pinned_stats(
+        "ocean sw(iter)",
+        &sw.stats.to_string(),
+        "owner_fetches: 29737\n\
+         transactions: 132671\n\
+         upgrades: 2583\n\
+         writebacks: 35383\n",
+    );
+}
+
+/// Exact comparison of a rendered `StatSet`.
+fn pinned_stats(what: &str, got: &str, want: &str) {
+    assert_eq!(
+        got, want,
+        "{what}: protocol statistics drifted — if this change is intentional, \
+         update the golden rendering"
+    );
 }
 
 /// Exact comparison with a helpful failure message.
