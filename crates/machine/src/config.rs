@@ -56,18 +56,6 @@ pub enum RecoveryPolicy {
     },
 }
 
-impl RecoveryPolicy {
-    /// Speculative re-runs this policy allows after the initial attempt.
-    /// Checkpoint restart does not re-run the whole loop, so it has no
-    /// whole-loop retry budget.
-    pub fn retries(&self) -> u32 {
-        match self {
-            RecoveryPolicy::SerialReexec | RecoveryPolicy::CheckpointRestart { .. } => 0,
-            RecoveryPolicy::RetrySpeculative { max_attempts } => *max_attempts,
-        }
-    }
-}
-
 /// Constants governing processor and synchronization behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineConfig {
@@ -156,10 +144,26 @@ impl MachineConfig {
     /// Largest accepted number of directory banks per node.
     pub const MAX_DIR_BANKS: usize = 1_024;
 
+    /// Largest accepted [`RecoveryPolicy::RetrySpeculative`] budget. Each
+    /// attempt re-runs the whole loop, so the budget bounds how long one
+    /// run can take.
+    pub const MAX_RETRY_ATTEMPTS: u32 = 16;
+
+    /// Largest accepted watchdog retransmission budget
+    /// (`mem.retry.max_retries`).
+    pub const MAX_RETRANSMISSIONS: u32 = 16;
+
+    /// Largest accepted first watchdog timeout (`mem.retry.timeout`), in
+    /// cycles. The wait doubles per retransmission, so with
+    /// [`Self::MAX_RETRANSMISSIONS`] the longest wait is 2^48 cycles and one
+    /// message's waits sum to less than 2^49: far from `u64` overflow.
+    pub const MAX_RETRY_TIMEOUT: u64 = 1 << 32;
+
     /// Checks that a machine can be built from this configuration: the
     /// processor count fits the directory's presence mask, both cache
     /// levels and the directory banks are non-zero and within their
-    /// bounds, L2 is a multiple of L1 (inclusion with direct mapping), and
+    /// bounds, L2 is a multiple of L1 (inclusion with direct mapping), the
+    /// retry budgets and the watchdog timeout are within their bounds, and
     /// the fault rates are in range.
     ///
     /// # Errors
@@ -194,6 +198,28 @@ impl MachineConfig {
                 "dir_banks={} out of range (accepted range: 1..={})",
                 m.dir_banks,
                 Self::MAX_DIR_BANKS
+            ));
+        }
+        if let RecoveryPolicy::RetrySpeculative { max_attempts } = self.recovery {
+            if max_attempts > Self::MAX_RETRY_ATTEMPTS {
+                return Err(format!(
+                    "max_attempts={max_attempts} out of range (accepted range: 0..={})",
+                    Self::MAX_RETRY_ATTEMPTS
+                ));
+            }
+        }
+        if m.retry.max_retries > Self::MAX_RETRANSMISSIONS {
+            return Err(format!(
+                "retry.max_retries={} out of range (accepted range: 0..={})",
+                m.retry.max_retries,
+                Self::MAX_RETRANSMISSIONS
+            ));
+        }
+        if m.retry.timeout > Self::MAX_RETRY_TIMEOUT {
+            return Err(format!(
+                "retry.timeout={} out of range (accepted range: 0..={})",
+                m.retry.timeout,
+                Self::MAX_RETRY_TIMEOUT
             ));
         }
         m.net.faults.validate()
@@ -241,6 +267,19 @@ mod tests {
         assert!(with(&|c| c.mem.dir_banks = 0).is_err());
         assert!(with(&|c| c.mem.dir_banks = 1 << 42).is_err());
         assert!(with(&|c| c.mem.net.faults.drop_ppm = 2_000_000).is_err());
+        let retry = |max_attempts| RecoveryPolicy::RetrySpeculative { max_attempts };
+        assert!(with(&|c| c.recovery = retry(17)).is_err());
+        assert!(with(&|c| c.recovery = retry(u32::MAX)).is_err());
+        assert!(with(&|c| c.mem.retry.max_retries = 17).is_err());
+        assert!(with(&|c| c.mem.retry.max_retries = 70).is_err());
+        assert!(with(&|c| c.mem.retry.timeout = (1 << 32) + 1).is_err());
+        assert!(with(&|c| c.mem.retry.timeout = u64::MAX).is_err());
+        // The bounds themselves and zero budgets are accepted.
+        for budget in [0, 16] {
+            assert_eq!(with(&|c| c.recovery = retry(budget)), Ok(()));
+            assert_eq!(with(&|c| c.mem.retry.max_retries = budget), Ok(()));
+        }
+        assert_eq!(with(&|c| c.mem.retry.timeout = 1 << 32), Ok(()));
         assert_eq!(
             with(&|c| {
                 c.mem.cache.l1_lines = 3;
@@ -252,19 +291,7 @@ mod tests {
     }
 
     #[test]
-    fn recovery_policy_retry_budget() {
-        assert_eq!(RecoveryPolicy::SerialReexec.retries(), 0);
-        assert_eq!(
-            RecoveryPolicy::RetrySpeculative { max_attempts: 3 }.retries(),
-            3
-        );
-        assert_eq!(
-            RecoveryPolicy::CheckpointRestart {
-                checkpoint: CheckpointConfig::default()
-            }
-            .retries(),
-            0
-        );
+    fn default_recovery_is_the_papers_serial_reexec() {
         assert_eq!(
             MachineConfig::default().recovery,
             RecoveryPolicy::SerialReexec

@@ -403,6 +403,15 @@ fn override_ppm(v: &Json, key: &str) -> Result<u32, String> {
         .map_err(|_| format!("config.{key}={n} out of range (accepted range: 0..=1_000_000 ppm)"))
 }
 
+/// A `u32` override at most `max`, rejected (never truncated) above it.
+fn override_at_most(v: &Json, key: &str, max: u32) -> Result<u32, String> {
+    let n = override_u64(v, key)?;
+    u32::try_from(n)
+        .ok()
+        .filter(|&n| n <= max)
+        .ok_or_else(|| format!("config.{key}={n} out of range (accepted range: 0..={max})"))
+}
+
 /// Applies a flat `"config"` override object onto a [`MachineConfig`].
 ///
 /// Keys mirror the configuration fields (latencies by their
@@ -421,7 +430,9 @@ fn override_ppm(v: &Json, key: &str) -> Result<u32, String> {
 ///
 /// The result must pass [`MachineConfig::validate`]: zero, oversized or
 /// non-inclusive cache and bank geometry (`l1_lines`, `l2_lines`,
-/// `dir_banks`) is an error, never clamped.
+/// `dir_banks`) and retry budgets or a watchdog timeout above their
+/// bounds (`retry_speculative`, `retry_max_retries`, `retry_timeout`) are
+/// errors, never clamped or truncated.
 pub fn apply_overrides(cfg: &mut MachineConfig, overrides: &Json) -> Result<(), String> {
     let fields = match overrides {
         Json::Obj(fields) => fields,
@@ -466,7 +477,10 @@ pub fn apply_overrides(cfg: &mut MachineConfig, overrides: &Json) -> Result<(), 
             "link_service" => cfg.mem.net.link_service = override_u64(val, k)?,
             "dirty_read_downgrades" => cfg.mem.dirty_read_downgrades = override_bool(val, k)?,
             "retry_timeout" => cfg.mem.retry.timeout = override_u64(val, k)?.max(1),
-            "retry_max_retries" => cfg.mem.retry.max_retries = override_u64(val, k)? as u32,
+            "retry_max_retries" => {
+                cfg.mem.retry.max_retries =
+                    override_at_most(val, k, MachineConfig::MAX_RETRANSMISSIONS)?
+            }
             "write_buffer" => cfg.write_buffer = override_u64(val, k)?.max(1) as usize,
             "barrier_overhead" => cfg.barrier_overhead = override_u64(val, k)?,
             "sched_static_overhead" => cfg.sched_static_overhead = override_u64(val, k)?,
@@ -475,13 +489,11 @@ pub fn apply_overrides(cfg: &mut MachineConfig, overrides: &Json) -> Result<(), 
             "iter_reset_cost" => cfg.iter_reset_cost = override_u64(val, k)?,
             "detailed_barrier" => cfg.detailed_barrier = override_bool(val, k)?,
             "retry_speculative" => {
-                let n = override_u64(val, k)?;
+                let n = override_at_most(val, k, MachineConfig::MAX_RETRY_ATTEMPTS)?;
                 cfg.recovery = if n == 0 {
                     RecoveryPolicy::SerialReexec
                 } else {
-                    RecoveryPolicy::RetrySpeculative {
-                        max_attempts: n as u32,
-                    }
+                    RecoveryPolicy::RetrySpeculative { max_attempts: n }
                 };
             }
             "checkpoint_every" => {
