@@ -119,13 +119,9 @@ pub fn run_workload(w: &Workload, procs: u32) -> LoopResults {
         .expect("one workload in, one result out")
 }
 
-/// Runs every workload at its paper processor count.
-pub fn evaluate_all(scale: Scale) -> Vec<LoopResults> {
-    evaluate_all_jobs(scale, 1)
-}
-
-/// [`evaluate_all`] with the scenario runs distributed over `jobs` worker
-/// threads. Identical output for every `jobs ≥ 1`.
+/// Runs every workload at its paper processor count, with the scenario
+/// runs distributed over `jobs` worker threads. Identical output for every
+/// `jobs ≥ 1`.
 pub fn evaluate_all_jobs(scale: Scale, jobs: usize) -> Vec<LoopResults> {
     let workloads = all_workloads(scale);
     let batch: Vec<(&Workload, u32)> = workloads.iter().map(|w| (w, w.procs)).collect();
@@ -165,12 +161,8 @@ pub fn fig11_from(results: &[LoopResults]) -> Vec<Fig11Row> {
         .collect()
 }
 
-/// Runs and summarizes Figure 11.
-pub fn fig11(scale: Scale) -> Vec<Fig11Row> {
-    fig11_from(&evaluate_all(scale))
-}
-
-/// [`fig11`] with the scenario runs distributed over `jobs` workers.
+/// Runs and summarizes Figure 11, with the scenario runs distributed over
+/// `jobs` workers.
 pub fn fig11_jobs(scale: Scale, jobs: usize) -> Vec<Fig11Row> {
     fig11_from(&evaluate_all_jobs(scale, jobs))
 }
@@ -241,12 +233,8 @@ pub fn fig12_from(results: &[LoopResults]) -> Vec<Fig12Row> {
         .collect()
 }
 
-/// Runs and summarizes Figure 12.
-pub fn fig12(scale: Scale) -> Vec<Fig12Row> {
-    fig12_from(&evaluate_all(scale))
-}
-
-/// [`fig12`] with the scenario runs distributed over `jobs` workers.
+/// Runs and summarizes Figure 12, with the scenario runs distributed over
+/// `jobs` workers.
 pub fn fig12_jobs(scale: Scale, jobs: usize) -> Vec<Fig12Row> {
     fig12_from(&evaluate_all_jobs(scale, jobs))
 }
@@ -274,14 +262,9 @@ pub struct Fig13Row {
 }
 
 /// Runs Figure 13: forces the failure of one instance of each loop
-/// (the §6.2 recipes baked into each workload's `failure_instance`).
-pub fn fig13(scale: Scale) -> Vec<Fig13Row> {
-    fig13_jobs(scale, 1)
-}
-
-/// [`fig13`] with one worker per loop (each row needs three scenario runs
-/// of the same forced-failure instance). Identical output for every
-/// `jobs ≥ 1`.
+/// (the §6.2 recipes baked into each workload's `failure_instance`), with
+/// one worker per loop (each row needs three scenario runs of the same
+/// forced-failure instance). Identical output for every `jobs ≥ 1`.
 pub fn fig13_jobs(scale: Scale, jobs: usize) -> Vec<Fig13Row> {
     let workloads = all_workloads(scale);
     specrt_par::par_map(jobs, &workloads, |_, w| {
@@ -333,13 +316,9 @@ pub struct Fig14Row {
 }
 
 /// Runs Figure 14: P3m, Adm and Track at 8 and 16 processors (Ocean is
-/// too small to run with 16, as in the paper).
-pub fn fig14(scale: Scale) -> Vec<Fig14Row> {
-    fig14_jobs(scale, 1)
-}
-
-/// [`fig14`] with the scenario runs of every (loop, processor-count) point
-/// distributed over `jobs` workers. Identical output for every `jobs ≥ 1`.
+/// too small to run with 16, as in the paper), with the scenario runs of
+/// every (loop, processor-count) point distributed over `jobs` workers.
+/// Identical output for every `jobs ≥ 1`.
 pub fn fig14_jobs(scale: Scale, jobs: usize) -> Vec<Fig14Row> {
     let workloads = all_workloads(scale);
     let batch: Vec<(&Workload, u32)> = workloads
@@ -478,12 +457,7 @@ fn read_first_heavy_loop(iters: u64) -> specrt_machine::LoopSpec {
 /// scheduling … the number of read-first iterations and, in general, the
 /// number of messages and protocol tests decreases." Runs a
 /// read-first-heavy privatization loop under increasing superiteration
-/// sizes.
-pub fn ablation_chunking(scale: Scale) -> Vec<ChunkAblationRow> {
-    ablation_chunking_jobs(scale, 1)
-}
-
-/// [`ablation_chunking`] with one worker per chunk size.
+/// sizes, one worker per chunk size.
 pub fn ablation_chunking_jobs(scale: Scale, jobs: usize) -> Vec<ChunkAblationRow> {
     use specrt_machine::ScheduleKind;
     use specrt_spec::IterationNumbering;
@@ -529,14 +503,9 @@ pub struct DensityRow {
 /// parallelization can be profitable." Sweeps the conflict density of a
 /// synthetic loop family and reports pass rates and expected costs: the
 /// crossover where speculation stops paying is where `hw_over_serial`
-/// crosses 1.0.
-pub fn extension_density(scale: Scale) -> Vec<DensityRow> {
-    extension_density_jobs(scale, 1)
-}
-
-/// [`extension_density`] with the `(density, seed)` instances distributed
-/// over `jobs` workers. Per-instance ratios are summed in instance order, so
-/// the floating-point accumulation — and thus the output — is identical for
+/// crosses 1.0. The `(density, seed)` instances are distributed over `jobs`
+/// workers; per-instance ratios are summed in instance order, so the
+/// floating-point accumulation — and thus the output — is identical for
 /// every `jobs ≥ 1`.
 pub fn extension_density_jobs(scale: Scale, jobs: usize) -> Vec<DensityRow> {
     const DENSITIES: [f64; 6] = [0.0, 0.02, 0.05, 0.1, 0.25, 0.5];
@@ -598,12 +567,7 @@ pub struct PolicyAblationRow {
 
 /// Sensitivity to the abort broadcast latency (failure path) and to the
 /// dirty-read coherence policy (invalidate-on-fetch vs the classic DASH
-/// sharing write-back).
-pub fn ablation_policy(scale: Scale) -> Vec<PolicyAblationRow> {
-    ablation_policy_jobs(scale, 1)
-}
-
-/// [`ablation_policy`] with one worker per configuration point.
+/// sharing write-back), one worker per configuration point.
 pub fn ablation_policy_jobs(_scale: Scale, jobs: usize) -> Vec<PolicyAblationRow> {
     use specrt_machine::{run_scenario_configured, MachineConfig};
     // Abort latency probes the forced-failure instance; the coherence
@@ -646,12 +610,8 @@ pub struct MachineAblationRow {
 /// Sensitivity of the headline comparison to the machine model: §5.1 notes
 /// the small caches were chosen to match the workloads' working sets. We
 /// sweep cache geometry and the write-buffer depth on Ocean (the most
-/// memory-bound loop) and check that HW > SW survives every configuration.
-pub fn ablation_machine(scale: Scale) -> Vec<MachineAblationRow> {
-    ablation_machine_jobs(scale, 1)
-}
-
-/// [`ablation_machine`] with one worker per machine configuration.
+/// memory-bound loop) and check that HW > SW survives every configuration,
+/// one worker per machine configuration.
 pub fn ablation_machine_jobs(_scale: Scale, jobs: usize) -> Vec<MachineAblationRow> {
     use specrt_cache::CacheConfig;
     use specrt_machine::{run_scenario_configured, MachineConfig};
@@ -725,12 +685,7 @@ pub struct TrackBlockRow {
 /// if the iterations are scheduled in blocks of a few iterations each."
 /// Runs Track's not-fully-parallel instance under various dynamic block
 /// sizes: block 1 splits the colliding iteration pairs across processors
-/// and must fail.
-pub fn ablation_track_block(scale: Scale) -> Vec<TrackBlockRow> {
-    ablation_track_block_jobs(scale, 1)
-}
-
-/// [`ablation_track_block`] with one worker per block size.
+/// and must fail. One worker per block size.
 pub fn ablation_track_block_jobs(_scale: Scale, jobs: usize) -> Vec<TrackBlockRow> {
     use specrt_machine::ScheduleKind;
     specrt_par::par_map(jobs, &[1u64, 2, 4, 8], |_, &block| {
@@ -751,7 +706,7 @@ mod tests {
 
     #[test]
     fn fig11_smoke_shapes_hold() {
-        let rows = fig11(Scale::Smoke);
+        let rows = fig11_jobs(Scale::Smoke, 1);
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert!(r.ideal > 1.0, "{}: Ideal must beat Serial", r.workload);
@@ -773,7 +728,7 @@ mod tests {
 
     #[test]
     fn fig13_smoke_failure_shapes_hold() {
-        let rows = fig13(Scale::Smoke);
+        let rows = fig13_jobs(Scale::Smoke, 1);
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert!(
@@ -801,11 +756,11 @@ mod tests {
         // f64's Debug rendering is shortest-round-trip exact, so equal
         // Debug strings mean bitwise-equal floats: the worker pool must be
         // invisible in every figure row.
-        let serial = format!("{:?}", fig13(Scale::Smoke));
+        let serial = format!("{:?}", fig13_jobs(Scale::Smoke, 1));
         let parallel = format!("{:?}", fig13_jobs(Scale::Smoke, 4));
         assert_eq!(serial, parallel, "fig13 must not depend on --jobs");
 
-        let serial = format!("{:?}", evaluate_all(Scale::Smoke));
+        let serial = format!("{:?}", evaluate_all_jobs(Scale::Smoke, 1));
         let parallel = format!("{:?}", evaluate_all_jobs(Scale::Smoke, 4));
         assert_eq!(serial, parallel, "evaluate_all must not depend on --jobs");
     }
@@ -821,7 +776,7 @@ mod tests {
 
     #[test]
     fn density_sweep_shows_profitability_crossover() {
-        let rows = extension_density(Scale::Smoke);
+        let rows = extension_density_jobs(Scale::Smoke, 1);
         assert!(
             (rows[0].pass_rate - 1.0).abs() < 1e-9,
             "density 0 always passes"
@@ -840,7 +795,7 @@ mod tests {
 
     #[test]
     fn abort_latency_monotonically_increases_failure_cost() {
-        let rows = ablation_policy(Scale::Smoke);
+        let rows = ablation_policy_jobs(Scale::Smoke, 1);
         let aborts: Vec<u64> = rows
             .iter()
             .filter(|r| r.config.starts_with("abort latency"))
@@ -858,7 +813,7 @@ mod tests {
 
     #[test]
     fn hw_beats_sw_on_every_machine_configuration() {
-        for row in ablation_machine(Scale::Smoke) {
+        for row in ablation_machine_jobs(Scale::Smoke, 1) {
             assert!(
                 row.hw_speedup > row.sw_speedup,
                 "{}: HW {:.2} vs SW {:.2}",
@@ -871,7 +826,7 @@ mod tests {
 
     #[test]
     fn chunking_reduces_read_first_signals() {
-        let rows = ablation_chunking(Scale::Smoke);
+        let rows = ablation_chunking_jobs(Scale::Smoke, 1);
         assert!(rows[0].read_first_signals > 0, "iteration-wise must signal");
         for w in rows.windows(2) {
             assert!(
@@ -884,7 +839,7 @@ mod tests {
 
     #[test]
     fn track_block_ablation_block1_fails() {
-        let rows = ablation_track_block(Scale::Smoke);
+        let rows = ablation_track_block_jobs(Scale::Smoke, 1);
         assert!(!rows[0].passed, "block 1 splits colliding pairs");
         assert!(rows[2].passed, "block 4 keeps pairs together");
         let pass_cost = rows[2].hw_cycles;

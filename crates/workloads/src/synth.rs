@@ -6,7 +6,7 @@
 //! This module provides the knob that discussion needs: a family of loops
 //! whose probability of being parallel is controlled by a conflict-density
 //! parameter, used by the profitability sweep in
-//! `specrt_core::experiments::extension_density` and by stress tests.
+//! `specrt_core::experiments::extension_density_jobs` and by stress tests.
 
 use specrt_ir::{ArrayId, BinOp, Operand, ProgramBuilder, Scalar};
 use specrt_machine::{ArrayDecl, LoopSpec, ScheduleKind, SwVariant};

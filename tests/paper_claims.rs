@@ -1,7 +1,7 @@
 //! Integration tests for the paper's headline quantitative claims
 //! (abstract, §3.4, §6), at smoke scale.
 
-use specrt::experiments::{evaluate_all, fig11_from, fig13, state_cost_table};
+use specrt::experiments::{evaluate_all_jobs, fig11_from, fig13_jobs, state_cost_table};
 use specrt::machine::{run_scenario, Scenario, SwVariant};
 use specrt::spec::StateCost;
 use specrt::workloads::{all_workloads, Scale};
@@ -12,7 +12,7 @@ use specrt::workloads::{all_workloads, Scale};
 /// on (geometric) average.
 #[test]
 fn hw_speeds_up_and_beats_sw() {
-    let rows = fig11_from(&evaluate_all(Scale::Smoke));
+    let rows = fig11_from(&evaluate_all_jobs(Scale::Smoke, 1));
     assert_eq!(rows.len(), 4);
     let mut ratio_product = 1.0;
     for r in &rows {
@@ -32,7 +32,7 @@ fn hw_speeds_up_and_beats_sw() {
 /// serial; failed SW runs cost noticeably more; HW detects failure early.
 #[test]
 fn failure_is_cheap_for_hw_and_expensive_for_sw() {
-    let rows = fig13(Scale::Smoke);
+    let rows = fig13_jobs(Scale::Smoke, 1);
     let hw_avg: f64 = rows.iter().map(|r| r.hw.total()).sum::<f64>() / rows.len() as f64;
     let sw_avg: f64 = rows.iter().map(|r| r.sw.total()).sum::<f64>() / rows.len() as f64;
     assert!(hw_avg < 1.6, "HW failure average {hw_avg:.2} too high");
