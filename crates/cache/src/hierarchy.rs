@@ -380,13 +380,13 @@ impl CacheHierarchy {
 
     /// Returns the hierarchy to its just-constructed state — slots empty,
     /// no line state or tags, hit counters zeroed — while keeping the slot
-    /// vectors and map capacity allocated (machine reuse across requests).
+    /// vectors and map capacity allocated: the machine pool recycles
+    /// hierarchies across runs instead of building new ones.
     ///
     /// Clears only the occupied slots: every occupant is a resident-map
     /// key (fill/displace/invalidate keep them in lockstep), so walking
     /// the resident set beats memsetting the paper-sized slot vectors
-    /// (512 L1 + 8192 L2 entries) when only a handful of lines are live —
-    /// which is the dominant reset cost under pooled machine reuse.
+    /// (512 L1 + 8192 L2 entries) when only a handful of lines are live.
     pub fn reset(&mut self) {
         for &line in self.lines.keys() {
             self.l1.remove(line);

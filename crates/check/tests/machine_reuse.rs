@@ -1,9 +1,10 @@
-//! Machine-reuse correctness: `crates/machine`'s thread-local pool hands
-//! scenario runs a reset [`specrt_proto::MemSystem`] instead of a fresh
-//! one. A reset system must be observationally identical to a fresh build —
-//! cycle counts, verdicts, stats and final memory images alike — because
-//! the serve cache's byte-identity guarantee (cold = warm) and the fuzz
-//! determinism gate both ride on it.
+//! Machine-reuse correctness: `crates/machine`'s thread-local pool builds
+//! each scenario run's [`specrt_proto::MemSystem`] around cache
+//! hierarchies reset after earlier runs. Such a system must be
+//! observationally identical to a fresh build — cycle counts, verdicts,
+//! stats and final memory images alike — because the serve cache's
+//! byte-identity guarantee (cold = warm) and the fuzz determinism gate
+//! both ride on it.
 
 use specrt_check::{run_case, CaseSpec, ARR_A, ARR_OUT};
 use specrt_machine::{pool, run_scenario_configured, MachineConfig, RunResult, Scenario};
@@ -25,8 +26,8 @@ fn fingerprint(r: &RunResult) -> String {
     )
 }
 
-/// Back-to-back scenario runs on one thread (second run leases the pooled,
-/// reset machine) match a first run on a fresh thread (fresh build), cycle
+/// Back-to-back scenario runs on one thread (second run leases the first
+/// run's reset hierarchies) match a first run on a fresh thread (fresh build), cycle
 /// for cycle and value for value — across every scenario and protocol mix
 /// the differential harness exercises.
 #[test]

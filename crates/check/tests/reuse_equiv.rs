@@ -1,22 +1,27 @@
-//! Pool-reuse equivalence: a leased-and-reset `MemSystem` must be
-//! indistinguishable from a freshly built one.
+//! Pool-reuse equivalence: a machine built around recycled cache
+//! hierarchies must be indistinguishable from a freshly built one.
 //!
 //! Every scenario runner leases its machine from the thread-local pool
-//! (`specrt_machine::pool`), so on a warmed thread runs execute on
-//! instances that already ran *other* cases and were reset in place. Any
-//! state that survives `reset_for_reuse` — a stale directory entry, an
-//! unsorted layout slot, a leftover message watermark — would show up as
-//! a divergence between a cold (fresh-thread, fresh-build) run and a warm
-//! (pooled) run of the same case. This test renders both byte-for-byte:
-//! oracle mismatches, merged protocol stats, the verdict, and the full
-//! event trace of the hardware non-privatization run, across the whole
-//! pinned fuzz corpus plus one fault-campaign cell.
+//! (`specrt_machine::pool`), so on a warmed thread runs execute on cache
+//! hierarchies that already ran *other* cases, under other
+//! configurations, and were reset in place. Any state that survives the
+//! reset — a stale line, tag or hit counter, a slot the reset missed —
+//! would show up as a divergence between a cold (fresh-thread,
+//! fresh-build) run and a warm (pooled) run of the same case. This test
+//! renders both byte-for-byte: oracle mismatches, merged protocol stats,
+//! the verdict, and the full event trace of the hardware
+//! non-privatization run, across the whole pinned fuzz corpus plus one
+//! fault-campaign cell.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use specrt_cache::CacheConfig;
 use specrt_check::{parse_seed, run_case, CampaignConfig, CaseSpec};
-use specrt_machine::{pool, run_scenario_configured, MachineConfig, Scenario};
+use specrt_machine::{
+    pool, run_scenario_configured, CheckpointConfig, MachineConfig, RecoveryPolicy, Scenario,
+};
+use specrt_proto::{FaultConfig, NetConfig, NodeFaultConfig, NodeFaultKind};
 use specrt_spec::ProtocolKind;
 
 fn corpus_seeds() -> Vec<u64> {
@@ -64,6 +69,64 @@ fn canonical(seed: u64) -> String {
     s
 }
 
+/// Runs each seed's hardware protocols on this thread under configurations
+/// other than the ones [`canonical`] uses — other processor counts, half
+/// and double cache geometry (the `ablation_machine_jobs` variants), a
+/// mesh, lossy messages, and a node crash under checkpoint-restart — so
+/// the pool ends up holding hierarchies last used by other machines.
+fn cross_config_warm_up(seeds: &[u64]) {
+    for &seed in seeds {
+        let case = CaseSpec::generate(seed);
+        let base = MachineConfig::with_procs(case.procs);
+        let geometry = |l1_lines, l2_lines| {
+            let mut c = base;
+            c.mem.cache = CacheConfig { l1_lines, l2_lines };
+            c
+        };
+        let faulty = |faults| base.with_net(NetConfig::flat().with_faults(faults));
+        let lossy = FaultConfig {
+            seed,
+            drop_ppm: 200_000,
+            dup_ppm: 100_000,
+            delay_ppm: 100_000,
+            delay_cycles: 96,
+            node_fault: None,
+        };
+        let crash = FaultConfig {
+            node_fault: Some(NodeFaultConfig {
+                kind: NodeFaultKind::Crash,
+                node: 1u32.min(case.procs - 1),
+                at_cycle: 1500,
+            }),
+            ..FaultConfig::none()
+        };
+        // Other geometries first: the default-geometry hierarchies the
+        // later configurations free are then the newest on the list.
+        let configs = [
+            geometry(256, 4096),
+            geometry(1024, 16384),
+            MachineConfig::with_procs(case.procs + 1),
+            MachineConfig::with_procs(2 * case.procs),
+            base.with_net(NetConfig::mesh(case.procs)),
+            faulty(lossy).with_recovery(RecoveryPolicy::RetrySpeculative { max_attempts: 2 }),
+            faulty(crash).with_recovery(RecoveryPolicy::CheckpointRestart {
+                checkpoint: CheckpointConfig { every_iters: 2 },
+            }),
+        ];
+        for cfg in configs {
+            for protocol in [
+                ProtocolKind::NonPriv,
+                ProtocolKind::Priv {
+                    read_in: true,
+                    copy_out: true,
+                },
+            ] {
+                let _ = run_scenario_configured(&case.loop_spec(protocol, true), Scenario::Hw, cfg);
+            }
+        }
+    }
+}
+
 /// Runs `f` on a brand-new thread, whose thread-local pool is empty: every
 /// lease inside builds fresh.
 fn on_cold_thread<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
@@ -81,11 +144,10 @@ fn corpus_runs_identically_on_fresh_and_reused_instances() {
         .map(|&seed| on_cold_thread(move || canonical(seed)))
         .collect();
 
-    // Warm the calling thread's pool with every case, then re-run: each
-    // canonical() below executes on instances reset after earlier cases.
-    for &seed in &seeds {
-        let _ = canonical(seed);
-    }
+    // Warm the calling thread's pool under other configurations, then
+    // re-run: each canonical() below executes on hierarchies reset after
+    // other machines' runs.
+    cross_config_warm_up(&seeds);
     let (_, reuses_before) = pool::counters();
     let warm: Vec<String> = seeds.iter().map(|&seed| canonical(seed)).collect();
     let (_, reuses_after) = pool::counters();
@@ -111,11 +173,9 @@ fn campaign_cell_runs_identically_on_fresh_and_reused_instances() {
         let cfg = cfg.clone();
         on_cold_thread(move || specrt_check::run_campaign(&cfg, 1).render_json())
     };
-    // Warm the pool with unrelated corpus work first, then run the same
-    // campaign on this (reused) thread.
-    for &seed in corpus_seeds().iter().take(4) {
-        let _ = canonical(seed);
-    }
+    // Warm the pool with unrelated corpus work under other configurations
+    // first, then run the same campaign on this (reused) thread.
+    cross_config_warm_up(&corpus_seeds()[..4]);
     let warm = specrt_check::run_campaign(&cfg, 1).render_json();
     assert_eq!(
         cold, warm,

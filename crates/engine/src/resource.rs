@@ -71,12 +71,6 @@ impl Resource {
     pub fn requests(&self) -> u64 {
         self.requests
     }
-
-    /// Forgets all reservations and statistics (e.g. between loop
-    /// invocations, where the paper flushes caches to mimic real conditions).
-    pub fn reset(&mut self) {
-        *self = Resource::default();
-    }
 }
 
 /// A resource with `n` independently-queued banks, selected by a key.
@@ -137,13 +131,6 @@ impl BankedResource {
     pub fn requests(&self) -> u64 {
         self.banks.iter().map(Resource::requests).sum()
     }
-
-    /// Resets all banks.
-    pub fn reset(&mut self) {
-        for b in &mut self.banks {
-            b.reset();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -166,15 +153,6 @@ mod tests {
         assert_eq!(done, Cycles(20));
         assert_eq!(r.total_queued(), Cycles(8)); // waited 2..10
         assert_eq!(r.total_busy(), Cycles(20));
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut r = Resource::new();
-        r.acquire(Cycles(0), Cycles(10));
-        r.reset();
-        assert_eq!(r.next_free(), Cycles::ZERO);
-        assert_eq!(r.requests(), 0);
     }
 
     #[test]

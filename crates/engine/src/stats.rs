@@ -308,11 +308,6 @@ impl StatSet {
             self.add(k, v);
         }
     }
-
-    /// Clears every counter.
-    pub fn reset(&mut self) {
-        self.counters.clear();
-    }
 }
 
 impl fmt::Display for StatSet {

@@ -220,12 +220,6 @@ impl AddressMap {
     pub fn is_empty(&self) -> bool {
         self.layouts.is_empty()
     }
-
-    /// Forgets every registration (allocator reuse across requests).
-    pub fn clear(&mut self) {
-        self.layouts.clear();
-        self.by_base.clear();
-    }
 }
 
 #[cfg(test)]

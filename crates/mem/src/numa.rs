@@ -114,19 +114,6 @@ impl NumaAllocator {
         layout
     }
 
-    /// Returns the allocator to its just-constructed state — page cursor
-    /// back at 1, round-robin cursor at node 0, no pages homed, no arrays
-    /// registered — keeping map capacity. Part of the machine-reuse path:
-    /// a pooled [`crate::MemoryImage`]-backed machine re-allocates its
-    /// arrays from scratch on every lease, so placements and addresses
-    /// replay exactly as on a fresh allocator.
-    pub fn reset(&mut self) {
-        self.next_page = 1;
-        self.rr_cursor = 0;
-        self.homes.clear();
-        self.map.clear();
-    }
-
     /// The home node of the page containing `addr`.
     ///
     /// # Panics

@@ -379,18 +379,6 @@ impl Network {
                 .collect(),
         }
     }
-
-    /// Forgets all reservations, hold-backs and statistics, and rewinds
-    /// the fault plane to its seed.
-    pub fn reset(&mut self) {
-        self.links.clear();
-        self.last_arrival.clear();
-        self.faults.reset();
-        self.messages = 0;
-        self.local_messages = 0;
-        self.total_hops = 0;
-        self.total_queue = Cycles::ZERO;
-    }
 }
 
 #[cfg(test)]
@@ -477,15 +465,5 @@ mod tests {
         let d = net.send(N0, N15, Cycles(0));
         assert_eq!(d.arrive, p1, "probe predicted the real delivery");
         assert!(net.probe(N0, N15, Cycles(0)) > p1, "send reserved links");
-    }
-
-    #[test]
-    fn reset_clears_traffic() {
-        let mut net = Network::new(NetConfig::mesh(16), 16, 74);
-        net.send(N0, N15, Cycles(0));
-        net.reset();
-        let s = net.summary();
-        assert_eq!(s.messages, 0);
-        assert!(s.links.is_empty());
     }
 }

@@ -169,11 +169,6 @@ impl DirectoryNode {
         DirectoryNode::default()
     }
 
-    /// Forgets every line (machine reuse), keeping map capacity.
-    pub fn reset(&mut self) {
-        self.lines.clear();
-    }
-
     /// Current state of `line`.
     pub fn state(&self, line: LineAddr) -> DirLineState {
         self.lines

@@ -11,6 +11,7 @@
 
 use std::fmt::Write as _;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use specrt_cache::{CacheConfig, CacheHierarchy, ElemTag, HitLevel, LineState, LineTags, Victim};
 use specrt_engine::{BankedResource, Cycles, EventQueue, StatSet};
@@ -263,20 +264,53 @@ pub struct MemSystem {
     msg_arrival: Vec<Cycles>,
 }
 
+/// The `SPECRT_TRACE=<array>,<element>` filter of [`MemSystem::trace`],
+/// read from the environment once per process.
+fn trace_filter() -> Option<(u32, u64)> {
+    static FILTER: OnceLock<Option<(u32, u64)>> = OnceLock::new();
+    *FILTER.get_or_init(|| {
+        let v = std::env::var("SPECRT_TRACE").ok()?;
+        let parts: Vec<u64> = v.split(',').filter_map(|x| x.parse().ok()).collect();
+        (parts.len() == 2).then(|| (parts[0] as u32, parts[1]))
+    })
+}
+
 impl MemSystem {
     /// Creates a memory system with no arrays allocated.
     pub fn new(cfg: MemSystemConfig) -> Self {
+        let caches = (0..cfg.procs)
+            .map(|_| CacheHierarchy::new(cfg.cache))
+            .collect();
+        Self::with_caches(cfg, caches)
+    }
+
+    /// Creates a memory system with no arrays allocated around `caches`,
+    /// one empty hierarchy of `cfg.cache` geometry per processor (a fresh
+    /// one or a [`CacheHierarchy::reset`] one: the paper flushes the caches
+    /// before every run, §5.2). Everything else is built fresh. The machine
+    /// pool recycles hierarchies through this and [`Self::into_caches`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.procs` exceeds the directory's presence mask or
+    /// `caches` does not hold one hierarchy per processor.
+    pub fn with_caches(cfg: MemSystemConfig, caches: Vec<CacheHierarchy>) -> Self {
         assert!(
             cfg.procs <= SharerSet::MAX_PROCS,
             "{} procs exceed the directory's full-map presence mask",
             cfg.procs
         );
         let procs = cfg.procs as usize;
+        assert_eq!(caches.len(), procs, "one cache hierarchy per processor");
+        debug_assert!(
+            caches.iter().all(|c| c.resident_lines() == 0),
+            "recycled cache hierarchy not reset"
+        );
         MemSystem {
             numa: NumaAllocator::new(cfg.procs),
             plan: TestPlan::new(),
             numbering: IterationNumbering::iteration_wise(),
-            caches: (0..procs).map(|_| CacheHierarchy::new(cfg.cache)).collect(),
+            caches,
             dirs: (0..procs).map(|_| DirectoryNode::new()).collect(),
             dir_banks: (0..procs)
                 .map(|_| BankedResource::new(cfg.dir_banks))
@@ -302,12 +336,16 @@ impl MemSystem {
             #[cfg(debug_assertions)]
             spec_shadow: Vec::new(),
             msg_arrival: vec![Cycles(0); procs * procs],
-            trace_filter: std::env::var("SPECRT_TRACE").ok().and_then(|v| {
-                let parts: Vec<u64> = v.split(',').filter_map(|x| x.parse().ok()).collect();
-                (parts.len() == 2).then(|| (parts[0] as u32, parts[1]))
-            }),
+            trace_filter: trace_filter(),
             cfg,
         }
+    }
+
+    /// Consumes the system, returning its per-processor cache hierarchies
+    /// (with whatever lines they still hold) for [`Self::with_caches`] to
+    /// reuse after a reset.
+    pub fn into_caches(self) -> Vec<CacheHierarchy> {
+        self.caches
     }
 
     /// Number of processors.
@@ -585,67 +623,6 @@ impl MemSystem {
         }
         self.msg_arrival.fill(Cycles(0));
         self.stats.incr("retry.speculative_reruns");
-    }
-
-    /// Returns the system to the state of a fresh [`MemSystem::new`] with
-    /// the same configuration, while keeping the big containers' allocated
-    /// capacity (cache slot vectors, line/tag maps, directory maps). This
-    /// is the machine-reuse path: a pooled worker serving many requests
-    /// resets instead of reconstructing, eliminating the per-case
-    /// `machine.setup` rebuild named by the host profile.
-    ///
-    /// Everything observable must replay exactly as on a fresh system —
-    /// the serving layer's byte-identity guarantee (cold = warm = any job
-    /// count) rides on it:
-    /// * the NUMA allocator rewinds to page 1 / node 0, so array addresses
-    ///   and placements repeat;
-    /// * the fault plane rewinds to its configured seed, so fault-injected
-    ///   runs repeat;
-    /// * the speculative stores are **reconstructed**, not just cleared —
-    ///   their per-array registrations (keyed by `ArrayId`, sized at
-    ///   registration) would otherwise leak stale lengths into the next
-    ///   request;
-    /// * stats, traces and scratch all zero; the tracer is detached
-    ///   (re-enable per request via [`MemSystem::enable_event_trace`]).
-    ///
-    /// The env-derived `SPECRT_TRACE` filter survives: it is host
-    /// configuration, not per-run state.
-    pub fn reset_for_reuse(&mut self) {
-        let procs = self.cfg.procs as usize;
-        self.numa.reset();
-        self.plan = TestPlan::new();
-        self.numbering = IterationNumbering::iteration_wise();
-        for c in &mut self.caches {
-            c.reset();
-        }
-        for d in &mut self.dirs {
-            d.reset();
-        }
-        for b in &mut self.dir_banks {
-            b.reset();
-        }
-        self.net.reset();
-        self.net_trace = false;
-        self.nonpriv = NonPrivStore::new();
-        self.priv_shared = PrivSharedStore::new();
-        self.priv_private = PrivPrivateStore::new();
-        self.priv3_shared = Priv3SharedStore::new();
-        self.priv3_private = Priv3PrivateStore::new();
-        #[cfg(debug_assertions)]
-        self.spec_shadow.clear();
-        self.private_layouts.clear();
-        self.msgs.clear();
-        self.failure = None;
-        self.cur_eff_iter.clear();
-        self.cur_eff_iter.resize(procs, 0);
-        self.stats.reset();
-        self.test_enabled = true;
-        self.stamp_base = 0;
-        self.tracer = Tracer::off();
-        self.last_queue = Cycles(0);
-        self.last_case = None;
-        self.cur_ctx = None;
-        self.msg_arrival.fill(Cycles(0));
     }
 
     /// The recorded speculation failure, if any.
