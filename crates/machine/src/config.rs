@@ -61,8 +61,8 @@ pub enum RecoveryPolicy {
 pub struct MachineConfig {
     /// Memory-system configuration (processors, caches, latencies).
     pub mem: MemSystemConfig,
-    /// Write-buffer depth: "processors do not stall on write misses" (§5.1)
-    /// until this many stores are outstanding.
+    /// Write-buffer depth (≥ 1): "processors do not stall on write misses"
+    /// (§5.1) until this many stores are outstanding.
     pub write_buffer: usize,
     /// Fixed cost of a barrier episode beyond the latest arrival
     /// (lock + flag traffic).
@@ -163,8 +163,9 @@ impl MachineConfig {
     /// processor count fits the directory's presence mask, both cache
     /// levels and the directory banks are non-zero and within their
     /// bounds, L2 is a multiple of L1 (inclusion with direct mapping), the
-    /// retry budgets and the watchdog timeout are within their bounds, and
-    /// the fault rates are in range.
+    /// write buffer and the checkpoint cadence are non-zero, the retry
+    /// budgets and the watchdog timeout are within their bounds, and the
+    /// fault rates are in range.
     ///
     /// # Errors
     ///
@@ -200,13 +201,24 @@ impl MachineConfig {
                 Self::MAX_DIR_BANKS
             ));
         }
-        if let RecoveryPolicy::RetrySpeculative { max_attempts } = self.recovery {
-            if max_attempts > Self::MAX_RETRY_ATTEMPTS {
+        if self.write_buffer == 0 {
+            return Err("write_buffer=0 out of range (accepted range: 1..)".to_string());
+        }
+        match self.recovery {
+            RecoveryPolicy::RetrySpeculative { max_attempts }
+                if max_attempts > Self::MAX_RETRY_ATTEMPTS =>
+            {
                 return Err(format!(
                     "max_attempts={max_attempts} out of range (accepted range: 0..={})",
                     Self::MAX_RETRY_ATTEMPTS
                 ));
             }
+            RecoveryPolicy::CheckpointRestart { checkpoint } if checkpoint.every_iters == 0 => {
+                return Err(
+                    "checkpoint.every_iters=0 out of range (accepted range: 1..)".to_string(),
+                );
+            }
+            _ => {}
         }
         if m.retry.max_retries > Self::MAX_RETRANSMISSIONS {
             return Err(format!(
@@ -274,6 +286,15 @@ mod tests {
         assert!(with(&|c| c.mem.retry.max_retries = 70).is_err());
         assert!(with(&|c| c.mem.retry.timeout = (1 << 32) + 1).is_err());
         assert!(with(&|c| c.mem.retry.timeout = u64::MAX).is_err());
+        // A zero write buffer can take no store, and a zero checkpoint
+        // cadence leaves no iterations to run between checkpoints.
+        assert!(with(&|c| c.write_buffer = 0).is_err());
+        let ckpt = |every_iters| RecoveryPolicy::CheckpointRestart {
+            checkpoint: CheckpointConfig { every_iters },
+        };
+        assert!(with(&|c| c.recovery = ckpt(0)).is_err());
+        assert_eq!(with(&|c| c.write_buffer = 1), Ok(()));
+        assert_eq!(with(&|c| c.recovery = ckpt(1)), Ok(()));
         // The bounds themselves and zero budgets are accepted.
         for budget in [0, 16] {
             assert_eq!(with(&|c| c.recovery = retry(budget)), Ok(()));

@@ -690,7 +690,11 @@ fn speculate(
     // point a checkpoint snapshots — occurs at least that often.
     let checkpointing = match m.cfg.recovery {
         RecoveryPolicy::CheckpointRestart { checkpoint } => {
-            window = window.min(checkpoint.every_iters.max(1));
+            assert!(
+                checkpoint.every_iters > 0,
+                "checkpoint.every_iters=0 (MachineConfig::validate rejects it)"
+            );
+            window = window.min(checkpoint.every_iters);
             true
         }
         _ => false,

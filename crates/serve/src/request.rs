@@ -430,8 +430,9 @@ fn override_at_most(v: &Json, key: &str, max: u32) -> Result<u32, String> {
 ///
 /// The result must pass [`MachineConfig::validate`]: zero, oversized or
 /// non-inclusive cache and bank geometry (`l1_lines`, `l2_lines`,
-/// `dir_banks`) and retry budgets or a watchdog timeout above their
-/// bounds (`retry_speculative`, `retry_max_retries`, `retry_timeout`) are
+/// `dir_banks`), a zero `write_buffer` or `checkpoint_every`, and retry
+/// budgets or a watchdog timeout above their bounds
+/// (`retry_speculative`, `retry_max_retries`, `retry_timeout`) are
 /// errors, never clamped or truncated.
 pub fn apply_overrides(cfg: &mut MachineConfig, overrides: &Json) -> Result<(), String> {
     let fields = match overrides {
@@ -481,7 +482,7 @@ pub fn apply_overrides(cfg: &mut MachineConfig, overrides: &Json) -> Result<(), 
                 cfg.mem.retry.max_retries =
                     override_at_most(val, k, MachineConfig::MAX_RETRANSMISSIONS)?
             }
-            "write_buffer" => cfg.write_buffer = override_u64(val, k)?.max(1) as usize,
+            "write_buffer" => cfg.write_buffer = override_usize(val, k)?,
             "barrier_overhead" => cfg.barrier_overhead = override_u64(val, k)?,
             "sched_static_overhead" => cfg.sched_static_overhead = override_u64(val, k)?,
             "sched_lock_hold" => cfg.sched_lock_hold = override_u64(val, k)?,
@@ -499,7 +500,7 @@ pub fn apply_overrides(cfg: &mut MachineConfig, overrides: &Json) -> Result<(), 
             "checkpoint_every" => {
                 cfg.recovery = RecoveryPolicy::CheckpointRestart {
                     checkpoint: CheckpointConfig {
-                        every_iters: override_u64(val, k)?.max(1),
+                        every_iters: override_u64(val, k)?,
                     },
                 };
             }

@@ -191,14 +191,17 @@ fn unbuildable_geometry_is_rejected_and_the_service_survives() {
     assert_eq!(lines[3].get("result").and_then(Json::as_str), Some("pong"));
 }
 
-/// Retry budgets beyond their bounds: a million speculative retries of a
-/// deterministic conflict hold a pool worker for seconds (linear in the
-/// budget), 70 watchdog retransmissions overflow the backoff wait, and
-/// 2^32 would become 0 under a plain cast. Each is answered `ok:false,
-/// retryable:false` under its id, the ping behind it gets its pong, and
-/// the largest accepted budgets still run.
+/// Retry budgets beyond their bounds and zero values the machine cannot
+/// run: a million speculative retries of a deterministic conflict hold a
+/// pool worker for seconds (linear in the budget), 70 watchdog
+/// retransmissions overflow the backoff wait, 2^32 would become 0 under a
+/// plain cast, a zero write buffer would panic the executor on its first
+/// store, and a zero checkpoint cadence leaves no iterations between
+/// checkpoints. Each is answered `ok:false, retryable:false` under its id,
+/// the ping behind it gets its pong, and the largest accepted budgets
+/// still run.
 #[test]
-fn oversized_retry_budgets_are_rejected_and_the_service_survives() {
+fn out_of_range_configs_are_rejected_and_the_service_survives() {
     let bad = [
         r#"{"retry_speculative":1000000}"#,
         r#"{"retry_speculative":4294967295}"#,
@@ -206,6 +209,8 @@ fn oversized_retry_budgets_are_rejected_and_the_service_survives() {
         r#"{"retry_max_retries":70,"drop_ppm":1000000}"#,
         r#"{"retry_max_retries":4294967296,"drop_ppm":1000000}"#,
         r#"{"retry_timeout":18446744073709551615,"drop_ppm":1000000}"#,
+        r#"{"write_buffer":0}"#,
+        r#"{"checkpoint_every":0}"#,
     ];
     let core = ServeCore::new(ServeConfig {
         workers: 1,
