@@ -6,10 +6,13 @@
 //! The scope here (1 line × 3 elems × 3 procs, 4 accesses per script) is a
 //! deliberate middle ground: large enough that exploration dominates setup
 //! and every race case (a)–(h) is crossed, small enough that the bench
-//! finishes in seconds on one core — the full 2×3×4 acceptance scope is a
-//! multi-minute CLI run, not a benchmark. As everywhere else in the
-//! checker, the report must be byte-identical at any worker count; the
-//! bench asserts that on the way.
+//! finishes in about a second per variant on one core. The full 2×3×4
+//! acceptance scope explores about 47M states, close to a minute on two
+//! workers: a CLI run, not a benchmark. The states/s here count unique
+//! states per second of exploration, which is one `step`, one exact
+//! packed-key lookup per successor and one decode per explored state. As
+//! everywhere else in the checker, the report must be byte-identical at
+//! any worker count; the bench asserts that on the way.
 
 use specrt_check::{run_model, ModelConfig};
 use specrt_spec::{SpecScope, SpecVariant};

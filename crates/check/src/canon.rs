@@ -30,10 +30,9 @@
 //! the same cache line, so the hash covers `procs`/`elems`/`schedule`/`ops`
 //! only. The seed still round-trips through the JSON form for replay.
 
-use specrt_cache::{ElemTag, FirstTag};
 use specrt_machine::{MachineConfig, RecoveryPolicy, ScheduleKind};
 use specrt_proto::{NodeFaultKind, Topology};
-use specrt_spec::{DirElem, FlightMsg, PrivateDirElem, ProtocolKind, SpecState};
+use specrt_spec::ProtocolKind;
 
 use crate::generate::{CaseSpec, Op};
 
@@ -690,128 +689,6 @@ pub fn canonical_key(case: &CaseSpec, cfg: &MachineConfig, protocol: &str) -> u6
     hash_case_into(&mut h, case);
     hash_machine_config_into(&mut h, cfg);
     hash_protocol_into(&mut h, protocol);
-    h.finish()
-}
-
-/// The bits of one cache element tag, canonically packed.
-fn tag_bits(t: ElemTag) -> u64 {
-    let first = match t.first() {
-        FirstTag::None => 0u64,
-        FirstTag::Own => 1,
-        FirstTag::Other => 2,
-    };
-    first
-        | (u64::from(t.no_shr()) << 2)
-        | (u64::from(t.r_only()) << 3)
-        | (u64::from(t.read1st()) << 4)
-        | (u64::from(t.write()) << 5)
-}
-
-/// Hashes one system-layer protocol state of the bounded model
-/// ([`specrt_spec::SpecState`]) plus the per-processor script positions.
-/// This is the dedup key of `specrt-check model`'s explicit-frontier
-/// search: two exploration paths that converge on the same protocol state
-/// and the same remaining work must collide, and any semantic difference
-/// (a tag bit, a stamp, an in-flight message, a program counter) must
-/// separate. Every field is length-prefixed or variant-tagged so
-/// differently-shaped states never alias.
-pub fn hash_spec_state_into(h: &mut CanonHasher, s: &SpecState, pcs: &[u16]) {
-    h.write_str("spec-state");
-    h.write_u64(s.dir.len() as u64);
-    for d in &s.dir {
-        match d {
-            DirElem::NonPriv(e) => {
-                h.write_u64(0);
-                h.write_u64(e.first.map_or(u64::MAX, |p| p.0 as u64));
-                h.write_bool(e.no_shr);
-                h.write_bool(e.r_only);
-            }
-            DirElem::Priv(e) => {
-                h.write_u64(1);
-                h.write_u64(e.max_r1st);
-                h.write_u64(e.min_w);
-            }
-            DirElem::Priv3(e) => {
-                h.write_u64(2);
-                h.write_bool(e.any_r1st);
-                h.write_bool(e.any_w);
-            }
-        }
-    }
-    h.write_u64(s.copies.len() as u64);
-    for c in &s.copies {
-        match c {
-            None => {
-                h.write_u64(0);
-            }
-            Some(c) => {
-                h.write_u64(1);
-                h.write_bool(c.dirty);
-                h.write_u64(c.tags.len() as u64);
-                for &t in &c.tags {
-                    h.write_u64(tag_bits(t));
-                }
-            }
-        }
-    }
-    h.write_u64(s.pdir.len() as u64);
-    for p in &s.pdir {
-        match p {
-            PrivateDirElem::Priv { elem, touched } => {
-                h.write_u64(0);
-                h.write_u64(elem.pmax_r1st);
-                h.write_u64(elem.pmax_w);
-                h.write_bool(*touched);
-            }
-            PrivateDirElem::Priv3(e) => {
-                h.write_u64(1);
-                h.write_bool(e.read1st);
-                h.write_bool(e.write);
-                h.write_bool(e.write_any);
-            }
-        }
-    }
-    h.write_u64(s.inflight.len() as u64);
-    for f in &s.inflight {
-        h.write_u64(f.src as u64);
-        match f.msg {
-            FlightMsg::FirstUpdate { elem } => {
-                h.write_u64(0);
-                h.write_u64(elem as u64);
-            }
-            FlightMsg::ROnlyUpdate { elem } => {
-                h.write_u64(1);
-                h.write_u64(elem as u64);
-            }
-            FlightMsg::FirstUpdateFail { elem, target } => {
-                h.write_u64(2);
-                h.write_u64(elem as u64);
-                h.write_u64(target as u64);
-            }
-            FlightMsg::ReadFirst { elem, iter } => {
-                h.write_u64(3);
-                h.write_u64(elem as u64);
-                h.write_u64(iter);
-            }
-            FlightMsg::FirstWrite { elem, iter } => {
-                h.write_u64(4);
-                h.write_u64(elem as u64);
-                h.write_u64(iter);
-            }
-        }
-    }
-    h.write_bool(s.failed);
-    h.write_u64(pcs.len() as u64);
-    for &pc in pcs {
-        h.write_u64(pc as u64);
-    }
-}
-
-/// The model checker's dedup key for one `(protocol state, script
-/// positions)` exploration node.
-pub fn spec_state_key(s: &SpecState, pcs: &[u16]) -> u64 {
-    let mut h = CanonHasher::new();
-    hash_spec_state_into(&mut h, s, pcs);
     h.finish()
 }
 

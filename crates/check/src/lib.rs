@@ -24,10 +24,10 @@
 //!   access pattern pass, with coverage accounting for race cases (a)–(h).
 //! * [`model`] — a **bounded model checker** over the pure
 //!   [`specrt_spec::ProtocolSpec`] transition function: explicit-frontier
-//!   BFS with canonical hashed-state dedup ([`canon::spec_state_key`]) and
-//!   processor-symmetry reduction, covering all three protocol variants at
-//!   up to 2 lines × 3 elems × 4 procs, parallelized per script with
-//!   byte-identical reports at any worker count.
+//!   BFS with exact dedup of packed states ([`specrt_spec::PackedState`])
+//!   and processor-symmetry reduction, covering all three protocol
+//!   variants at up to 2 lines × 3 elems × 4 procs, parallelized per
+//!   script with byte-identical reports at any worker count.
 //! * invariant hooks — the `debug_assertions` checks this crate leans on
 //!   live in `specrt-proto` ([`specrt_proto::MemSystem::assert_invariants`],
 //!   per-path in-order delivery) and `specrt-spec` (stamp monotonicity);
@@ -49,8 +49,8 @@ pub use campaign::{
 };
 pub use canon::{
     canonical_key, case_from_json, case_to_json, hash_case_into, hash_machine_config_into,
-    hash_protocol_into, hash_protocol_kind_into, hash_spec_state_into, spec_state_key,
-    write_json_string, CanonHasher, Json, CANON_VERSION,
+    hash_protocol_into, hash_protocol_kind_into, write_json_string, CanonHasher, Json,
+    CANON_VERSION,
 };
 pub use diff::{node_fault_legs, run_case, CaseResult, Mismatch};
 pub use fuzz::{

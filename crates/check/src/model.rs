@@ -13,12 +13,15 @@
 //! A *script* assigns each processor an ordered access sequence (at most
 //! [`MAX_OPS_PER_PROC`] accesses each, [`ModelConfig::max_ops`] in total).
 //! For each script an explicit-frontier BFS explores every interleaving of
-//! processor accesses, in-flight message deliveries and cache evictions,
-//! deduplicating states by their canonical
-//! [`crate::canon::spec_state_key`] hash. BFS order makes the first bad
-//! state found the shallowest one, so counterexample event paths are
-//! minimal for their script; scripts are enumerated smallest-first, so the
-//! reported counterexample *script* is minimal too.
+//! processor accesses, in-flight message deliveries and cache evictions.
+//! States are fixed-capacity `Copy` values, and each `(state, script
+//! positions)` node is deduplicated by its exact packed encoding
+//! ([`ProtocolSpec::pack`]): the memo is a set of packed keys, so two
+//! distinct nodes never merge, and the frontier holds packed keys that are
+//! decoded ([`ProtocolSpec::unpack`]) when popped. BFS order makes the
+//! first bad state found the shallowest one, so counterexample event paths
+//! are minimal for their script; scripts are enumerated smallest-first, so
+//! the reported counterexample *script* is minimal too.
 //!
 //! ## Symmetry reduction
 //!
@@ -76,17 +79,18 @@
 //! test).
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use specrt_cache::FirstTag;
 use specrt_engine::Cycles;
 use specrt_mem::ProcId;
+use specrt_spec::protospec::{MAX_INFLIGHT, MAX_LINES, MAX_PROCS};
 use specrt_spec::{
-    fault, DirElem, FlightMsg, PrivateDirElem, ProtocolSpec, SpecEmission, SpecMessage, SpecScope,
-    SpecState, SpecVariant,
+    fault, DirElem, FlightMsg, InlineVec, PackedState, Pcs, PrivateDirElem, ProtocolSpec,
+    SpecEmission, SpecMessage, SpecScope, SpecState, SpecVariant,
 };
 use specrt_trace::{HitKind, TraceEvent};
 
-use crate::canon::spec_state_key;
 use crate::generate::Op;
 use crate::interleave::Coverage;
 
@@ -525,7 +529,36 @@ struct ScriptOutcome {
 
 /// Location of the first bad state found, for path reconstruction:
 /// an explored ancestor key plus an optional extra edge.
-type BadState = (u64, Option<SpecMessage>);
+type BadState = (PackedState, Option<SpecMessage>);
+
+/// Hashes a packed key with one folded multiply per word: the key is
+/// already an exact encoding, so hashing only has to spread its bits.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, w: u64) {
+        let m = u128::from(self.0 ^ w) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = m as u64 ^ (m >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type KeyBuild = BuildHasherDefault<KeyHasher>;
+
+/// The messages enabled in one state: at most one access per processor,
+/// one delivery per in-flight message and one eviction per copy.
+type Enabled =
+    InlineVec<SpecMessage, { MAX_PROCS as usize * (1 + MAX_LINES as usize) + MAX_INFLIGHT }>;
 
 /// Explores every interleaving of one script; if `want_path`, also returns
 /// a shortest event path to the first bad state (BFS depth order).
@@ -536,18 +569,18 @@ fn explore(
 ) -> (ScriptOutcome, Option<Vec<SpecMessage>>) {
     let envelope = envelope_holds(spec.variant, script);
     let mut outcome = ScriptOutcome::default();
-    let init = spec.init();
-    let init_pcs = vec![0u16; spec.scope.procs as usize];
-    let init_key = spec_state_key(&init, &init_pcs);
-    let mut memo: HashSet<u64> = HashSet::new();
+    let init_key = spec.pack(&spec.init(), &Pcs::filled(0, spec.scope.procs as usize));
+    let mut memo: HashSet<PackedState, KeyBuild> = HashSet::default();
     memo.insert(init_key);
     outcome.states = 1;
-    let mut parents: HashMap<u64, (u64, SpecMessage)> = HashMap::new();
-    let mut frontier: VecDeque<(SpecState, Vec<u16>, u64)> = VecDeque::new();
-    frontier.push_back((init, init_pcs, init_key));
+    let mut parents: HashMap<PackedState, (PackedState, SpecMessage), KeyBuild> =
+        HashMap::default();
+    let mut frontier: VecDeque<PackedState> = VecDeque::new();
+    frontier.push_back(init_key);
     let mut bad: Option<BadState> = None;
 
-    while let Some((s, pcs, key)) = frontier.pop_front() {
+    while let Some(key) = frontier.pop_front() {
+        let (s, pcs) = spec.unpack(&key);
         let done = pcs
             .iter()
             .enumerate()
@@ -576,9 +609,9 @@ fn explore(
         if want_path && bad.is_some() {
             break;
         }
-        for m in enabled_messages(spec, &s, &pcs, script) {
+        for &m in &enabled_messages(spec, &s, &pcs, script) {
             let (ns, em) = spec.step(&s, &m);
-            let mut npcs = pcs.clone();
+            let mut npcs = pcs;
             if let SpecMessage::Access { proc, .. } = m {
                 npcs[proc as usize] += 1;
             }
@@ -594,7 +627,7 @@ fn explore(
                     bad = Some((key, Some(m)));
                 }
             }
-            let nkey = spec_state_key(&ns, &npcs);
+            let nkey = spec.pack(&ns, &npcs);
             if memo.insert(nkey) {
                 outcome.states += 1;
                 // State invariants, checked once per unique state.
@@ -607,7 +640,7 @@ fn explore(
                 if want_path {
                     parents.insert(nkey, (key, m));
                 }
-                frontier.push_back((ns, npcs, nkey));
+                frontier.push_back(nkey);
             } else {
                 outcome.dedup_hits += 1;
             }
@@ -635,13 +668,8 @@ fn explore(
 
 /// Deterministically ordered enabled messages: accesses by processor,
 /// deliveries by queue index, evictions by (processor, line).
-fn enabled_messages(
-    spec: &ProtocolSpec,
-    s: &SpecState,
-    pcs: &[u16],
-    script: &Script,
-) -> Vec<SpecMessage> {
-    let mut out = Vec::new();
+fn enabled_messages(spec: &ProtocolSpec, s: &SpecState, pcs: &[u16], script: &Script) -> Enabled {
+    let mut out = Enabled::filled(SpecMessage::Deliver { index: 0 }, 0);
     for (p, &pc) in pcs.iter().enumerate() {
         if let Some(op) = script[p].get(pc as usize) {
             let (write, elem) = match op {
@@ -749,7 +777,7 @@ fn nonpriv_quiescent_agreement(
                 let DirElem::NonPriv(d) = s.dir[e as usize] else {
                     return false;
                 };
-                let t = copy.tags[off];
+                let t = copy.tags.get(off);
                 (t.first() != FirstTag::Own || d.first == Some(ProcId(p as u32)))
                     && (!t.no_shr() || d.no_shr)
                     && (!t.r_only() || d.r_only)
@@ -780,7 +808,7 @@ fn priv_tag_agreement(spec: &ProtocolSpec, s: &SpecState) -> bool {
                 let PrivateDirElem::Priv { elem, .. } = s.pdir[spec.scope.pdir_index(p, e)] else {
                     return false;
                 };
-                let t = copy.tags[off];
+                let t = copy.tags.get(off);
                 (!t.read1st() || elem.pmax_r1st == eff) && (!t.write() || elem.pmax_w == eff)
             })
         })
@@ -798,7 +826,7 @@ fn priv3_tag_agreement(spec: &ProtocolSpec, s: &SpecState) -> bool {
                 let PrivateDirElem::Priv3(pd) = s.pdir[spec.scope.pdir_index(p, e)] else {
                     return false;
                 };
-                let t = copy.tags[off];
+                let t = copy.tags.get(off);
                 (!t.read1st() || pd.read1st) && (!t.write() || pd.write)
             })
         })

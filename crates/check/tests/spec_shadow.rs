@@ -14,17 +14,17 @@
 //!   panics the replay.
 //! * **Direct double-evaluation over the explored state space.** We walk
 //!   every state the bounded model checker can reach at the smoke scope
-//!   and call `step` twice on cloned inputs, asserting identical results
-//!   and untouched inputs. This catches interior mutability or
-//!   hash-ordering nondeterminism that a single shadow evaluation could
-//!   mask.
+//!   and at 2 lines × 2 elems × 2 procs, and call `step` twice on copied
+//!   inputs, asserting identical results and untouched inputs. This
+//!   catches interior mutability or hash-ordering nondeterminism that a
+//!   single shadow evaluation could mask. The same walk checks that every
+//!   reached `(state, script positions)` node survives the model checker's
+//!   packed encoding unchanged (`unpack(pack(s, pcs)) == (s, pcs)`).
 
 use std::collections::HashSet;
 
-use specrt_check::{
-    enumerate_scripts, run_case, spec_state_key, CaseSpec, ModelConfig, Op, TEMPLATE_SEEDS,
-};
-use specrt_spec::{ProtocolSpec, SpecMessage, SpecVariant};
+use specrt_check::{enumerate_scripts, run_case, CaseSpec, ModelConfig, Op, TEMPLATE_SEEDS};
+use specrt_spec::{Pcs, ProtocolSpec, SpecMessage, SpecScope, SpecState, SpecVariant};
 
 /// Seeds beyond the hand-written templates, for generator variety.
 const RANDOM_SEEDS: u64 = 24;
@@ -54,56 +54,82 @@ fn fuzz_corpus_replays_clean_through_the_spec_shadow() {
 
 #[test]
 fn step_is_pure_and_deterministic_over_the_reachable_state_space() {
-    for variant in SpecVariant::ALL {
-        let cfg = ModelConfig::smoke(variant);
-        let spec = ProtocolSpec::new(variant, cfg.scope);
-        // Walk the whole symmetry-reduced script universe the smoke model
-        // run explores, double-evaluating every transition on the way.
-        // Unlike the model checker proper we do NOT prune failed states —
-        // step must be pure on those too.
-        let mut checked = 0u64;
-        for script in enumerate_scripts(variant, cfg.scope, cfg.max_ops) {
-            let mut seen = HashSet::new();
-            let mut frontier = vec![(spec.init(), vec![0usize; script.len()])];
-            while let Some((s, pcs)) = frontier.pop() {
-                let pcs16: Vec<u16> = pcs.iter().map(|&p| p as u16).collect();
-                if !seen.insert(spec_state_key(&s, &pcs16)) {
-                    continue;
-                }
-                for m in enabled(&s, &pcs, &script) {
-                    let before = s.clone();
-                    let (n1, e1) = spec.step(&s, &m);
-                    let (n2, e2) = spec.step(&s, &m);
-                    assert_eq!(s, before, "step must not mutate its input state");
-                    assert_eq!(
-                        (&n1, &e1),
-                        (&n2, &e2),
-                        "{}: step nondeterministic on {m:?}",
-                        variant.name()
-                    );
-                    checked += 1;
-                    let mut npcs = pcs.clone();
-                    if let SpecMessage::Access { proc, .. } = m {
-                        npcs[proc as usize] += 1;
-                    }
-                    frontier.push((n1, npcs));
-                }
-            }
+    let smoke = ModelConfig::smoke(SpecVariant::NonPriv);
+    let two_lines = SpecScope {
+        lines: 2,
+        elems: 2,
+        procs: 2,
+    };
+    for (scope, max_ops) in [(smoke.scope, smoke.max_ops), (two_lines, 3)] {
+        let mut states = 0u64;
+        for variant in SpecVariant::ALL {
+            let (checked, seen) = walk(variant, scope, max_ops);
+            assert!(
+                checked > 1_000,
+                "{}: expected a substantial state space, checked only {checked} transitions",
+                variant.name()
+            );
+            states += seen;
         }
-        assert!(
-            checked > 1_000,
-            "{}: expected a substantial state space, checked only {checked} transitions",
-            variant.name()
+        println!(
+            "{}x{}x{} max-ops {max_ops}: {states} nodes round-tripped",
+            scope.lines, scope.elems, scope.procs
         );
     }
 }
 
+/// Walks the whole symmetry-reduced script universe a model run at
+/// `scope` explores, double-evaluating every transition and round-tripping
+/// every node through the packed encoding. Unlike the model checker proper
+/// it does NOT prune failed states — step must be pure on those too.
+/// Returns the transitions checked and the unique nodes reached.
+fn walk(variant: SpecVariant, scope: SpecScope, max_ops: usize) -> (u64, u64) {
+    let spec = ProtocolSpec::new(variant, scope);
+    let (mut checked, mut nodes) = (0u64, 0u64);
+    for script in enumerate_scripts(variant, scope, max_ops) {
+        let mut seen = HashSet::new();
+        let mut frontier = vec![(spec.init(), Pcs::filled(0, script.len()))];
+        while let Some((s, pcs)) = frontier.pop() {
+            let key = spec.pack(&s, &pcs);
+            assert_eq!(
+                spec.unpack(&key),
+                (s, pcs),
+                "{}: packed encoding lost information",
+                variant.name()
+            );
+            if !seen.insert(key) {
+                continue;
+            }
+            nodes += 1;
+            for m in enabled(scope, &s, &pcs, &script) {
+                let before = s;
+                let (n1, e1) = spec.step(&s, &m);
+                let (n2, e2) = spec.step(&s, &m);
+                assert_eq!(s, before, "step must not mutate its input state");
+                assert_eq!(
+                    (&n1, &e1),
+                    (&n2, &e2),
+                    "{}: step nondeterministic on {m:?}",
+                    variant.name()
+                );
+                checked += 1;
+                let mut npcs = pcs;
+                if let SpecMessage::Access { proc, .. } = m {
+                    npcs[proc as usize] += 1;
+                }
+                frontier.push((n1, npcs));
+            }
+        }
+    }
+    (checked, nodes)
+}
+
 /// Every message enabled in `s`: next script ops, pending deliveries, and
 /// evictions of resident lines.
-fn enabled(s: &specrt_spec::SpecState, pcs: &[usize], script: &[Vec<Op>]) -> Vec<SpecMessage> {
+fn enabled(scope: SpecScope, s: &SpecState, pcs: &[u16], script: &[Vec<Op>]) -> Vec<SpecMessage> {
     let mut out = Vec::new();
     for (p, seq) in script.iter().enumerate() {
-        if let Some(op) = seq.get(pcs[p]) {
+        if let Some(op) = seq.get(pcs[p] as usize) {
             let (write, elem) = match *op {
                 Op::Read(e) => (false, e as u16),
                 Op::Write(e) => (true, e as u16),
@@ -118,13 +144,11 @@ fn enabled(s: &specrt_spec::SpecState, pcs: &[usize], script: &[Vec<Op>]) -> Vec
     for i in 0..s.inflight.len() {
         out.push(SpecMessage::Deliver { index: i });
     }
-    for (i, c) in s.copies.iter().enumerate() {
-        if c.is_some() {
-            // Smoke scope is 1 line x 2 procs: copies[p] is proc p, line 0.
-            out.push(SpecMessage::Evict {
-                proc: i as u16,
-                line: 0,
-            });
+    for proc in 0..scope.procs {
+        for line in 0..scope.lines {
+            if s.copies[scope.copy_index(proc, line)].is_some() {
+                out.push(SpecMessage::Evict { proc, line });
+            }
         }
     }
     out

@@ -36,7 +36,9 @@
 pub mod chunking;
 pub mod fail;
 pub mod fault;
+pub mod inline_vec;
 pub mod nonpriv;
+pub mod packed;
 pub mod plan;
 pub mod privat;
 pub mod privat3;
@@ -46,10 +48,12 @@ pub mod state_cost;
 pub use chunking::IterationNumbering;
 pub use fail::FailReason;
 pub use fault::FaultKind;
+pub use inline_vec::InlineVec;
 pub use nonpriv::{
     nonpriv_cache_read, nonpriv_cache_write, nonpriv_complete_write, nonpriv_on_first_update_fail,
     FirstUpdateOutcome, NonPrivDirElem, NonPrivReadAction, NonPrivWriteAction,
 };
+pub use packed::PackedState;
 pub use plan::{ProtocolKind, TestPlan};
 pub use privat::{
     priv_cache_read, priv_cache_write, PrivPrivateElem, PrivSharedElem, PrivateReadMissOutcome,
@@ -57,8 +61,8 @@ pub use privat::{
 };
 pub use privat3::{NoReadInOutcome, PrivNoReadInPrivate, PrivNoReadInShared};
 pub use protospec::{
-    CacheEmission, CacheEvent, DirElem, DirEmission, DirEvent, Flight, FlightMsg, LineCopy,
-    PrivateDirElem, PrivateEffect, PrivateEvent, ProtocolSpec, SpecEmission, SpecMessage,
-    SpecScope, SpecState, SpecVariant,
+    CacheEmission, CacheEvent, DirElem, DirEmission, DirEvent, Emissions, Flight, FlightMsg,
+    LineCopy, Pcs, PrivateDirElem, PrivateEffect, PrivateEvent, ProtocolSpec, SpecEmission,
+    SpecMessage, SpecScope, SpecState, SpecVariant,
 };
 pub use state_cost::StateCost;

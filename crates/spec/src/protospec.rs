@@ -9,9 +9,9 @@
 //!   *executes* these for its real directory/tag stores, so the simulator
 //!   and the model checker run literally the same transition code; the
 //!   timing, NUMA and cache-geometry concerns stay in the executor.
-//! * the **system layer** — [`ProtocolSpec::step`]: a typed, hashable
-//!   [`SpecState`] (directory entries, per-line tag bits, private-copy
-//!   stamps, the pending message queue) over a bounded
+//! * the **system layer** — [`ProtocolSpec::step`]: a typed, fixed-capacity
+//!   `Copy` [`SpecState`] (directory entries, per-line tag bits,
+//!   private-copy stamps, the pending message queue) over a bounded
 //!   [`SpecScope`] (`lines × elems × procs`), advanced by
 //!   [`SpecMessage`]s (a processor access, a message delivery, an
 //!   eviction). `specrt-check`'s bounded model checker *enumerates* this
@@ -19,10 +19,11 @@
 //!   the simulator executes.
 //!
 //! Determinism: `step` is a pure function of `(state, message)` — it
-//! allocates its successor state, never reads clocks or ambient
-//! configuration, and its only environmental input is the thread-local
-//! [`crate::fault`] injection plane (itself part of the conceptual input:
-//! a deliberately-broken protocol is a *different* transition function).
+//! copies its successor state and allocates nothing, emissions included;
+//! it never reads clocks or ambient configuration, and its only
+//! environmental input is the thread-local [`crate::fault`] injection
+//! plane (itself part of the conceptual input: a deliberately-broken
+//! protocol is a *different* transition function).
 //! Under a fixed injection, two evaluations agree bit-for-bit; the
 //! executor double-evaluates under `debug_assertions` to enforce this.
 //!
@@ -35,9 +36,10 @@
 
 use std::ops::Range;
 
-use specrt_cache::ElemTag;
+use specrt_cache::{ElemTag, LineTags};
 use specrt_mem::ProcId;
 
+use crate::inline_vec::InlineVec;
 use crate::nonpriv::{
     nonpriv_cache_read, nonpriv_cache_write, nonpriv_complete_write, nonpriv_on_first_update_fail,
     FirstUpdateOutcome, NonPrivDirElem, NonPrivReadAction, NonPrivWriteAction,
@@ -454,6 +456,22 @@ pub const MAX_LINES: u16 = 2;
 pub const MAX_ELEMS: u16 = 3;
 /// Largest supported processor count.
 pub const MAX_PROCS: u16 = 4;
+/// Most messages in flight at once. Each access sends at most one
+/// message, and a `First_update_fail` bounce replaces the `First_update`
+/// it answers, so the queue never holds more messages than accesses were
+/// performed; the model checker's scripts run at most two accesses on each
+/// of [`MAX_PROCS`] processors. A longer run panics on the ninth message
+/// instead of growing.
+pub const MAX_INFLIGHT: usize = 8;
+/// Most emissions of one step: two access-site race marks, one per drained
+/// in-flight message, one per merged write-back element, and one `Fail`.
+const MAX_EMISSIONS: usize = 2 + MAX_INFLIGHT + MAX_ELEMS as usize + 1;
+
+/// The emissions of one [`ProtocolSpec::step`].
+pub type Emissions = InlineVec<SpecEmission, MAX_EMISSIONS>;
+/// Per-processor script positions, as [`ProtocolSpec::unpack`] returns
+/// them.
+pub type Pcs = InlineVec<u16, { MAX_PROCS as usize }>;
 
 /// The bounded scope of the system-layer model: `elems` array elements
 /// laid out contiguously over `lines` cache lines, accessed by `procs`
@@ -521,12 +539,12 @@ impl SpecScope {
 
 /// A processor's cached copy of one line: per-element tags plus the
 /// dirty bit.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LineCopy {
     /// Whether the copy is dirty (exclusive).
     pub dirty: bool,
     /// Per-element tags, indexed by offset within the line.
-    pub tags: Vec<ElemTag>,
+    pub tags: LineTags,
 }
 
 /// One element of a processor's private-copy directory.
@@ -609,18 +627,20 @@ impl FlightMsg {
     }
 }
 
-/// The system-layer protocol state: typed and canonically hashable.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The system-layer protocol state: typed, fixed-capacity and `Copy`
+/// (capacities from [`MAX_ELEMS`], [`MAX_LINES`], [`MAX_PROCS`] and
+/// [`MAX_INFLIGHT`]); [`ProtocolSpec::pack`] encodes it exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpecState {
     /// Shared-directory state, one entry per element.
-    pub dir: Vec<DirElem>,
+    pub dir: InlineVec<DirElem, { MAX_ELEMS as usize }>,
     /// Cached line copies, indexed `proc * lines + line`.
-    pub copies: Vec<Option<LineCopy>>,
+    pub copies: InlineVec<Option<LineCopy>, { MAX_PROCS as usize * MAX_LINES as usize }>,
     /// Private-directory state, indexed `proc * elems + elem`
     /// (empty under the non-privatization variant).
-    pub pdir: Vec<PrivateDirElem>,
+    pub pdir: InlineVec<PrivateDirElem, { MAX_PROCS as usize * MAX_ELEMS as usize }>,
     /// In-flight messages in send order.
-    pub inflight: Vec<Flight>,
+    pub inflight: InlineVec<Flight, MAX_INFLIGHT>,
     /// Whether the speculation has FAILed (absorbing).
     pub failed: bool,
 }
@@ -678,10 +698,6 @@ impl ProtocolSpec {
             SpecVariant::Priv => DirElem::Priv(PrivSharedElem::default()),
             SpecVariant::Priv3 => DirElem::Priv3(PrivNoReadInShared::default()),
         };
-        let pdir_len = match self.variant {
-            SpecVariant::NonPriv => 0,
-            _ => self.scope.procs as usize * self.scope.elems as usize,
-        };
         let pdir_elem = match self.variant {
             SpecVariant::Priv => PrivateDirElem::Priv {
                 elem: PrivPrivateElem::default(),
@@ -689,26 +705,31 @@ impl ProtocolSpec {
             },
             _ => PrivateDirElem::Priv3(PrivNoReadInPrivate::default()),
         };
+        let no_flight = Flight {
+            src: 0,
+            msg: FlightMsg::FirstUpdate { elem: 0 },
+        };
         SpecState {
-            dir: vec![elem; self.scope.elems as usize],
-            copies: vec![None; self.scope.procs as usize * self.scope.lines as usize],
-            pdir: vec![pdir_elem; pdir_len],
-            inflight: Vec::new(),
+            dir: InlineVec::filled(elem, self.scope.elems as usize),
+            copies: InlineVec::filled(None, self.scope.procs as usize * self.scope.lines as usize),
+            pdir: InlineVec::filled(pdir_elem, self.pdir_len()),
+            inflight: InlineVec::filled(no_flight, 0),
             failed: false,
         }
     }
 
     /// **The** system-layer transition function:
-    /// `step(State, Message) -> (State, Vec<Emission>)`. Pure — see the
+    /// `step(State, Message) -> (State, Emissions)`. Pure — see the
     /// module docs for the determinism contract.
     ///
     /// # Panics
     ///
     /// Panics on a message that is not enabled in `s` (delivery index out
-    /// of range, eviction of an absent copy, element out of scope).
-    pub fn step(&self, s: &SpecState, m: &SpecMessage) -> (SpecState, Vec<SpecEmission>) {
-        let mut next = s.clone();
-        let mut em = Vec::new();
+    /// of range, eviction of an absent copy, element out of scope), and on
+    /// a send past [`MAX_INFLIGHT`] messages.
+    pub fn step(&self, s: &SpecState, m: &SpecMessage) -> (SpecState, Emissions) {
+        let mut next = *s;
+        let mut em = Emissions::filled(SpecEmission::Race(0), 0);
         match *m {
             SpecMessage::Access { proc, write, elem } => {
                 assert!(elem < self.scope.elems, "element {elem} out of scope");
@@ -747,13 +768,22 @@ impl ProtocolSpec {
         (next, em)
     }
 
-    fn fail(&self, s: &mut SpecState, em: &mut Vec<SpecEmission>, reason: FailReason) {
+    /// Private-directory entries: one per `(proc, elem)` under the
+    /// privatization variants, none under non-privatization.
+    pub(crate) fn pdir_len(&self) -> usize {
+        match self.variant {
+            SpecVariant::NonPriv => 0,
+            _ => self.scope.procs as usize * self.scope.elems as usize,
+        }
+    }
+
+    fn fail(&self, s: &mut SpecState, em: &mut Emissions, reason: FailReason) {
         s.failed = true;
         em.push(SpecEmission::Fail(reason));
     }
 
     /// Applies a directory step to `s.dir[elem]`, translating emissions.
-    fn dir_step_at(&self, s: &mut SpecState, em: &mut Vec<SpecEmission>, elem: u16, ev: DirEvent) {
+    fn dir_step_at(&self, s: &mut SpecState, em: &mut Emissions, elem: u16, ev: DirEvent) {
         let (next, emission) = ProtocolSpec::dir_step(s.dir[elem as usize], ev);
         s.dir[elem as usize] = next;
         match emission {
@@ -782,7 +812,7 @@ impl ProtocolSpec {
     fn merge_writeback(
         &self,
         s: &mut SpecState,
-        em: &mut Vec<SpecEmission>,
+        em: &mut Emissions,
         copy: &LineCopy,
         owner: u16,
         line: u16,
@@ -794,7 +824,7 @@ impl ProtocolSpec {
                 em,
                 elem,
                 DirEvent::Writeback {
-                    tag: copy.tags[off],
+                    tag: copy.tags.get(off),
                     owner: ProcId(owner as u32),
                 },
             );
@@ -809,7 +839,7 @@ impl ProtocolSpec {
     /// `drain_before_transaction` plus the per-(src, dst) in-order
     /// network guarantee. Same-line elements share a home; messages to
     /// other homes keep racing (that nondeterminism stays explored).
-    fn drain_own(&self, s: &mut SpecState, em: &mut Vec<SpecEmission>, proc: u16, line: u16) {
+    fn drain_own(&self, s: &mut SpecState, em: &mut Emissions, proc: u16, line: u16) {
         while !s.failed {
             let Some(i) = s.inflight.iter().position(|f| {
                 f.src == proc && f.msg.drains() && self.scope.line_of(f.msg.elem()) == line
@@ -821,7 +851,7 @@ impl ProtocolSpec {
     }
 
     /// Delivers in-flight message `i`.
-    fn deliver(&self, s: &mut SpecState, em: &mut Vec<SpecEmission>, i: usize) {
+    fn deliver(&self, s: &mut SpecState, em: &mut Emissions, i: usize) {
         let f = s.inflight.remove(i);
         match f.msg {
             FlightMsg::FirstUpdate { elem } => {
@@ -853,13 +883,13 @@ impl ProtocolSpec {
                 let ci = self.scope.copy_index(target, line);
                 if let Some(copy) = &mut s.copies[ci] {
                     let (tag, emission) = ProtocolSpec::cache_step(
-                        copy.tags[off],
+                        copy.tags.get(off),
                         copy.dirty,
                         CacheEvent::FirstUpdateFail {
                             target: ProcId(target as u32),
                         },
                     );
-                    copy.tags[off] = tag;
+                    *copy.tags.get_mut(off) = tag;
                     if let Some(CacheEmission::Fail(reason)) = emission {
                         self.fail(s, em, reason);
                     }
@@ -880,20 +910,22 @@ impl ProtocolSpec {
 
     /// Projects the directory's element states into `viewer`'s line tags
     /// (the data-reply projection of Fig. 6-b/d).
-    fn project(&self, s: &SpecState, line: u16, viewer: u16) -> Vec<ElemTag> {
-        self.scope
-            .line_range(line)
-            .map(|e| match s.dir[e as usize] {
+    fn project(&self, s: &SpecState, line: u16, viewer: u16) -> LineTags {
+        let range = self.scope.line_range(line);
+        let mut tags = LineTags::cleared(range.len());
+        for (off, e) in range.enumerate() {
+            *tags.get_mut(off) = match s.dir[e as usize] {
                 DirElem::NonPriv(d) => d.to_tag(ProcId(viewer as u32)),
                 _ => unreachable!("projection is a non-privatization concept"),
-            })
-            .collect()
+            };
+        }
+        tags
     }
 
     fn nonpriv_access(
         &self,
         s: &mut SpecState,
-        em: &mut Vec<SpecEmission>,
+        em: &mut Emissions,
         proc: u16,
         write: bool,
         elem: u16,
@@ -909,13 +941,13 @@ impl ProtocolSpec {
                 em.push(SpecEmission::Race(0));
                 let copy = s.copies[ci].as_mut().expect("resident");
                 let (tag, emission) = ProtocolSpec::cache_step(
-                    copy.tags[off],
+                    copy.tags.get(off),
                     copy.dirty,
                     CacheEvent::Read {
                         reader: ProcId(proc as u32),
                     },
                 );
-                copy.tags[off] = tag;
+                *copy.tags.get_mut(off) = tag;
                 match emission {
                     None => {}
                     Some(CacheEmission::SendFirstUpdate) => s.inflight.push(Flight {
@@ -964,13 +996,13 @@ impl ProtocolSpec {
                 em.push(SpecEmission::Race(2));
                 let copy = s.copies[ci].as_mut().expect("resident");
                 let (tag, emission) = ProtocolSpec::cache_step(
-                    copy.tags[off],
+                    copy.tags.get(off),
                     copy.dirty,
                     CacheEvent::Write {
                         writer: ProcId(proc as u32),
                     },
                 );
-                copy.tags[off] = tag;
+                *copy.tags.get_mut(off) = tag;
                 match emission {
                     None => {}
                     Some(CacheEmission::NeedWriteReq) => {
@@ -1014,7 +1046,7 @@ impl ProtocolSpec {
     fn grant_write(
         &self,
         s: &mut SpecState,
-        em: &mut Vec<SpecEmission>,
+        em: &mut Emissions,
         proc: u16,
         line: u16,
         elem: u16,
@@ -1034,8 +1066,8 @@ impl ProtocolSpec {
             },
         );
         let mut tags = self.project(s, line, proc);
-        let (tag, _) = ProtocolSpec::cache_step(tags[off], true, CacheEvent::CompleteWrite);
-        tags[off] = tag;
+        let (tag, _) = ProtocolSpec::cache_step(tags.get(off), true, CacheEvent::CompleteWrite);
+        *tags.get_mut(off) = tag;
         s.copies[self.scope.copy_index(proc, line)] = Some(LineCopy { dirty: true, tags });
     }
 
@@ -1052,33 +1084,32 @@ impl ProtocolSpec {
 
     /// Private-line refill tags reconstructed from `proc`'s private
     /// directory stamps (so refills after an eviction do not re-signal).
-    fn private_project(&self, s: &SpecState, proc: u16, line: u16) -> Vec<ElemTag> {
+    fn private_project(&self, s: &SpecState, proc: u16, line: u16) -> LineTags {
         let eff = ProtocolSpec::stamp(proc);
-        self.scope
-            .line_range(line)
-            .map(|e| {
-                let mut t = ElemTag::default();
-                match s.pdir[self.scope.pdir_index(proc, e)] {
-                    PrivateDirElem::Priv { elem, .. } => {
-                        if elem.pmax_w == eff {
-                            t.set_write(true);
-                        }
-                        if elem.pmax_r1st == eff {
-                            t.set_read1st(true);
-                        }
+        let range = self.scope.line_range(line);
+        let mut tags = LineTags::cleared(range.len());
+        for (off, e) in range.enumerate() {
+            let t = tags.get_mut(off);
+            match s.pdir[self.scope.pdir_index(proc, e)] {
+                PrivateDirElem::Priv { elem, .. } => {
+                    if elem.pmax_w == eff {
+                        t.set_write(true);
                     }
-                    PrivateDirElem::Priv3(elem) => {
-                        if elem.write {
-                            t.set_write(true);
-                        }
-                        if elem.read1st {
-                            t.set_read1st(true);
-                        }
+                    if elem.pmax_r1st == eff {
+                        t.set_read1st(true);
                     }
                 }
-                t
-            })
-            .collect()
+                PrivateDirElem::Priv3(elem) => {
+                    if elem.write {
+                        t.set_write(true);
+                    }
+                    if elem.read1st {
+                        t.set_read1st(true);
+                    }
+                }
+            }
+        }
+        tags
     }
 
     /// Applies a stamped private-directory step at `(proc, elem)`.
@@ -1104,7 +1135,7 @@ impl ProtocolSpec {
     fn priv_access(
         &self,
         s: &mut SpecState,
-        em: &mut Vec<SpecEmission>,
+        em: &mut Emissions,
         proc: u16,
         write: bool,
         elem: u16,
@@ -1121,8 +1152,8 @@ impl ProtocolSpec {
                 // iteration.
                 em.push(SpecEmission::Race(0));
                 let copy = s.copies[ci].as_mut().expect("resident");
-                let (tag, signal) = ProtocolSpec::private_cache_read(copy.tags[off]);
-                copy.tags[off] = tag;
+                let (tag, signal) = ProtocolSpec::private_cache_read(copy.tags.get(off));
+                *copy.tags.get_mut(off) = tag;
                 if signal {
                     self.private_step_at(
                         s,
@@ -1174,8 +1205,8 @@ impl ProtocolSpec {
                 // Hit write — algorithm (g), with a local upgrade if clean.
                 em.push(SpecEmission::Race(4)); // (e): hit write
                 let copy = s.copies[ci].as_mut().expect("resident");
-                let (tag, signal) = ProtocolSpec::private_cache_write(copy.tags[off]);
-                copy.tags[off] = tag;
+                let (tag, signal) = ProtocolSpec::private_cache_write(copy.tags.get(off));
+                *copy.tags.get_mut(off) = tag;
                 copy.dirty = true;
                 if signal {
                     let effect = self.private_step_at(
@@ -1206,7 +1237,7 @@ impl ProtocolSpec {
                     },
                 );
                 let mut tags = self.private_project(s, proc, line);
-                tags[off].set_write(true);
+                tags.get_mut(off).set_write(true);
                 s.copies[ci] = Some(LineCopy { dirty: true, tags });
                 match effect {
                     PrivateEffect::TestFirstWrite => {
@@ -1231,7 +1262,7 @@ impl ProtocolSpec {
     fn priv3_access(
         &self,
         s: &mut SpecState,
-        em: &mut Vec<SpecEmission>,
+        em: &mut Emissions,
         proc: u16,
         write: bool,
         elem: u16,
@@ -1245,11 +1276,11 @@ impl ProtocolSpec {
             em.push(SpecEmission::Race(if write { 4 } else { 0 })); // (e) / (a)
             let copy = s.copies[ci].as_mut().expect("resident");
             let (tag, signal) = if write {
-                ProtocolSpec::private_cache_write(copy.tags[off])
+                ProtocolSpec::private_cache_write(copy.tags.get(off))
             } else {
-                ProtocolSpec::private_cache_read(copy.tags[off])
+                ProtocolSpec::private_cache_read(copy.tags.get(off))
             };
-            copy.tags[off] = tag;
+            *copy.tags.get_mut(off) = tag;
             if write {
                 copy.dirty = true;
             }
@@ -1258,7 +1289,7 @@ impl ProtocolSpec {
             em.push(SpecEmission::Race(if write { 5 } else { 1 })); // (f) / (b)
             let mut tags = self.private_project(s, proc, line);
             if write {
-                tags[off].set_write(true);
+                tags.get_mut(off).set_write(true);
             }
             s.copies[ci] = Some(LineCopy { dirty: write, tags });
             true // the private directory decides below
@@ -1331,7 +1362,7 @@ mod tests {
     fn system_step_leaves_input_untouched() {
         let spec = ProtocolSpec::new(SpecVariant::NonPriv, scope());
         let s0 = spec.init();
-        let snapshot = s0.clone();
+        let snapshot = s0;
         let (s1, _) = spec.step(
             &s0,
             &SpecMessage::Access {
