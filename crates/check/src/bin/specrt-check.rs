@@ -3,10 +3,10 @@
 //! ```text
 //! specrt-check fuzz --cases 500 --seed 0x5eed [--jobs N] [--inject drop-ronly]
 //! specrt-check replay <seed>
-//! specrt-check interleave [--jobs N] [--lines L --elems E --procs P]
 //! specrt-check model [--lines L] [--elems E] [--procs P] [--max-ops N]
 //!                    [--variant nonpriv|priv|priv3] [--jobs N] [--inject BUG]
 //! specrt-check coverage [--cases N] [--seed S] [--jobs N]
+//!                       [--lines L --elems E --procs P --max-ops N]
 //! specrt-check campaign [--cases N] [--fault-seeds N] [--rates ppm,ppm,..]
 //!                       [--nodes n,n,..] [--node-at c,c,..|never] [--ckpt-every N]
 //!                       [--jobs N] [--out FILE] [--inject ckpt-skip-dirty]
@@ -17,21 +17,20 @@
 //!   on and the exit code inverts: the fuzzer must *find* (and shrink) a
 //!   counterexample, proving the harness catches real regressions.
 //! * `replay` re-runs one case seed and, if it disagrees, shrinks it.
-//! * `interleave` runs the small-scope message-ordering enumeration at its
-//!   legacy hardcoded scope; any `--lines/--elems/--procs/--max-ops/
-//!   --variant` flag switches it to the bounded model checker (shared flag
-//!   set with `model`). Unsupported scope combinations are rejected with
-//!   the valid ranges.
 //! * `model` runs the bounded model checker over the pure `ProtocolSpec`
 //!   transition function: per-variant exhaustive small-scope exploration
 //!   (default 2 lines × 3 elems × 4 procs, all of nonpriv/priv/priv3) with
-//!   hashed-state dedup, reporting states explored, dedup hit rate and
-//!   race-case coverage; exits non-zero on any violation or missing race
-//!   case. With `--inject <bug>` the exit code inverts: the checker must
-//!   find the planted protocol bug and print a minimal counterexample.
-//! * `coverage` runs the fuzzer, the legacy enumeration and a per-variant
-//!   model-checker pass, and fails unless every race case (a)–(h) of the
-//!   paper's Figs. 6–9 was reached by each.
+//!   exact packed-state dedup, reporting states explored, dedup hit rate
+//!   and race-case coverage; exits non-zero on any violation or missing
+//!   race case. With `--inject <bug>` the exit code inverts: the checker
+//!   must find the planted protocol bug and print a minimal
+//!   counterexample. Unsupported scope combinations are rejected with the
+//!   valid ranges.
+//! * `coverage` runs the fuzzer and a per-variant model-checker pass
+//!   (the smoke scope, or the scope the flags give), and fails unless the
+//!   fuzzer on its own and each variant's model run each reached every
+//!   race case (a)–(h) of the paper's Figs. 6–9, with no oracle
+//!   disagreement or model violation.
 //! * `campaign` sweeps the interconnect fault plane (drop / duplicate /
 //!   delay × rate × fault seed) over generated loops, asserts every run
 //!   still reproduces the serial oracle's memory image, and emits a
@@ -44,9 +43,9 @@
 //!   planted checkpoint bug (snapshots skip the dirty image state) must be
 //!   caught by the serial-oracle image check.
 //!
-//! `--jobs N` distributes independent cases (fuzz) or script-prefix
-//! partitions (interleave) over `N` worker threads; `--jobs 0` means "all
-//! available cores". Output is byte-identical for every job count — the
+//! `--jobs N` distributes independent cases (fuzz, campaign) or scripts
+//! (model) over `N` worker threads; `--jobs 0` means "all available
+//! cores". Output is byte-identical for every job count — the
 //! default stays 1 so existing invocations and golden comparisons are
 //! unchanged unless parallelism is asked for.
 //!
@@ -61,9 +60,8 @@
 use std::process::ExitCode;
 
 use specrt_check::{
-    enumerate_small_scope_jobs, fuzz_jobs, render_case, replay, run_campaign, run_model,
-    CampaignConfig, CaseSpec, Coverage, FuzzFailure, ModelConfig, NodeGridConfig, DEFAULT_MAX_OPS,
-    NODE_FAULT_NEVER,
+    fuzz_jobs, render_case, replay, run_campaign, run_model, CampaignConfig, CaseSpec, FuzzFailure,
+    ModelConfig, NodeGridConfig, DEFAULT_MAX_OPS, NODE_FAULT_NEVER,
 };
 use specrt_machine::{CheckpointConfig, RecoveryPolicy};
 use specrt_proto::FaultConfig;
@@ -102,8 +100,8 @@ struct Args {
 }
 
 impl Args {
-    /// Whether any model-scope flag was given (switches `interleave` from
-    /// its legacy hardcoded scope to the model checker).
+    /// Whether any model-scope flag was given (widens `coverage`'s model
+    /// pass beyond the smoke scope).
     fn scope_given(&self) -> bool {
         self.lines.is_some() || self.elems.is_some() || self.procs.is_some()
     }
@@ -270,7 +268,7 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
 }
 
 fn usage() -> String {
-    "usage: specrt-check <fuzz|replay|interleave|model|coverage|campaign> \
+    "usage: specrt-check <fuzz|replay|model|coverage|campaign> \
      [--cases N] [--seed S] [--jobs N] [--inject drop-ronly] \
      [--lines N] [--elems N] [--procs N] [--max-ops N] [--variant nonpriv|priv|priv3] \
      [--fault-seeds N] [--rates ppm,ppm,..] [--nodes n,n,..] [--node-at c,c,..|never] \
@@ -358,26 +356,6 @@ fn cmd_replay(args: &Args) -> ExitCode {
     }
 }
 
-fn cmd_interleave(args: &Args) -> ExitCode {
-    if args.scope_given() || args.variant.is_some() || args.max_ops.is_some() {
-        // The enumerator grew into the model checker; an explicit scope
-        // selects it (the flag set is shared with `model`).
-        return cmd_model(args);
-    }
-    let mut cov = Coverage::new();
-    let summary = enumerate_small_scope_jobs(&mut cov, args.jobs);
-    println!(
-        "interleave: {} scripts, {} states, {} violation(s), {} conservative script(s)",
-        summary.scripts, summary.states, summary.violations, summary.conservative
-    );
-    print_coverage(&cov);
-    if summary.violations == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 fn cmd_model(args: &Args) -> ExitCode {
     let (scope, variants) = match (args.scope(), args.variants()) {
         (Ok(s), Ok(v)) => (s, v),
@@ -431,36 +409,23 @@ fn cmd_model(args: &Args) -> ExitCode {
     }
 }
 
-fn print_coverage(cov: &Coverage) {
-    print!("race-case coverage:");
-    for (i, n) in cov.counts.iter().enumerate() {
-        print!(" {}={}", (b'a' + i as u8) as char, n);
-    }
-    println!();
-}
-
 fn cmd_coverage(args: &Args) -> ExitCode {
-    // The enumerator guarantees every letter is reachable; the fuzzer's
-    // protocol statistics show the full machine reaches them too.
-    let mut cov = Coverage::new();
-    let summary = enumerate_small_scope_jobs(&mut cov, args.jobs);
+    // The fuzzer's protocol statistics show the full machine reaches every
+    // race case; the model checker shows the spec does, per variant.
     let report = fuzz_jobs(args.cases, args.seed, args.jobs);
-    for c in report.visited_race_cases() {
-        cov.counts[(c as u8 - b'a') as usize] += 1;
-    }
-    print_coverage(&cov);
-    println!(
-        "fuzz race cases: {:?}; enumeration violations: {}",
-        report.visited_race_cases(),
-        summary.violations
-    );
-    if summary.violations > 0 || !report.ok() {
+    let visited = report.visited_race_cases();
+    println!("fuzz race cases: {visited:?}");
+    if !report.ok() {
         return ExitCode::FAILURE;
+    }
+    let missing: Vec<char> = ('a'..='h').filter(|c| !visited.contains(c)).collect();
+    let mut passed = missing.is_empty();
+    if !passed {
+        println!("fuzz race cases NOT visited: {missing:?}");
     }
     // The model checker must also reach every race site, per protocol
     // variant (the scope flags widen this; the default smoke scope is the
     // smallest that covers all eight letters everywhere).
-    let mut model_ok = true;
     for variant in SpecVariant::ALL {
         let mut cfg = ModelConfig::smoke(variant);
         if args.scope_given() || args.max_ops.is_some() {
@@ -481,7 +446,7 @@ fn cmd_coverage(args: &Args) -> ExitCode {
         }
         println!();
         if !model.ok() || !model.coverage.complete() {
-            model_ok = false;
+            passed = false;
             println!(
                 "model {}: violations {} / race cases NOT visited: {:?}",
                 variant.name(),
@@ -490,14 +455,10 @@ fn cmd_coverage(args: &Args) -> ExitCode {
             );
         }
     }
-    let missing = cov.unvisited();
-    if missing.is_empty() && model_ok {
+    if passed {
         println!("all race cases (a)-(h) visited");
         ExitCode::SUCCESS
     } else {
-        if !missing.is_empty() {
-            println!("race cases NOT visited: {missing:?}");
-        }
         ExitCode::FAILURE
     }
 }
@@ -614,7 +575,6 @@ fn main() -> ExitCode {
             let code = match cmd.as_str() {
                 "fuzz" => cmd_fuzz(&args),
                 "replay" => cmd_replay(&args),
-                "interleave" => cmd_interleave(&args),
                 "model" => cmd_model(&args),
                 "coverage" => cmd_coverage(&args),
                 "campaign" => cmd_campaign(&args),

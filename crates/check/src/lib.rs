@@ -17,17 +17,16 @@
 //!   oracle of `specrt_lrpd::oracle` and every final memory image against a
 //!   serial run. Failures shrink to 1-minimal counterexamples and replay
 //!   from a single seed (`specrt-check replay <seed>`).
-//! * [`interleave`] — a small-scope **interleaving enumerator** that
-//!   DFS-explores every ordering of processor steps, update-message
-//!   deliveries and evictions for one cache line under the
-//!   non-privatization protocol, proving no ordering lets a non-envelope
-//!   access pattern pass, with coverage accounting for race cases (a)–(h).
 //! * [`model`] — a **bounded model checker** over the pure
 //!   [`specrt_spec::ProtocolSpec`] transition function: explicit-frontier
-//!   BFS with exact dedup of packed states ([`specrt_spec::PackedState`])
-//!   and processor-symmetry reduction, covering all three protocol
-//!   variants at up to 2 lines × 3 elems × 4 procs, parallelized per
-//!   script with byte-identical reports at any worker count.
+//!   BFS over every ordering of processor accesses, message deliveries and
+//!   evictions, with exact dedup of packed states
+//!   ([`specrt_spec::PackedState`]) and processor-symmetry reduction,
+//!   covering all three protocol variants at up to 2 lines × 3 elems × 4
+//!   procs with coverage accounting for race cases (a)–(h), parallelized
+//!   per script with byte-identical reports at any worker count. The
+//!   machine's `MemSystem` executes the same transition functions, so the
+//!   two check one protocol definition.
 //! * invariant hooks — the `debug_assertions` checks this crate leans on
 //!   live in `specrt-proto` ([`specrt_proto::MemSystem::assert_invariants`],
 //!   per-path in-order delivery) and `specrt-spec` (stamp monotonicity);
@@ -39,7 +38,6 @@ pub mod canon;
 pub mod diff;
 pub mod fuzz;
 pub mod generate;
-pub mod interleave;
 pub mod model;
 pub mod shrink;
 
@@ -58,12 +56,8 @@ pub use fuzz::{
     FuzzReport, RACE_CASE_KEYS,
 };
 pub use generate::{CaseSpec, Op, ARR_A, ARR_OUT, TEMPLATE_SEEDS};
-pub use interleave::{
-    enumerate_small_scope, enumerate_small_scope_jobs, explore_script, script_envelope_holds,
-    Coverage, EnumerationSummary, ExploreResult,
-};
 pub use model::{
-    enumerate_scripts, envelope_holds, run_model, Counterexample, ModelConfig, ModelReport, Script,
-    DEFAULT_MAX_OPS, MAX_OPS_PER_PROC,
+    enabled_messages, enumerate_scripts, envelope_holds, run_model, Counterexample, Coverage,
+    Enabled, ModelConfig, ModelReport, Script, DEFAULT_MAX_OPS, MAX_OPS_PER_PROC,
 };
 pub use shrink::shrink;

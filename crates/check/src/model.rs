@@ -1,12 +1,10 @@
 //! Bounded model checker over the pure [`ProtocolSpec`] transition
 //! function.
 //!
-//! Where [`crate::interleave`] hand-rolls a one-line/two-element model of
-//! the non-privatization protocol, this module enumerates the **system
-//! layer of `specrt_spec::protospec`** — the same element-level transition
-//! code the simulator executes — over a configurable
-//! [`SpecScope`] (`lines × elems × procs`, up to 2×3×4) and all three
-//! protocol variants (`nonpriv`, `priv`, `priv3`).
+//! This module enumerates the **system layer of `specrt_spec::protospec`**
+//! — the same element-level transition code the simulator executes — over
+//! a configurable [`SpecScope`] (`lines × elems × procs`, up to 2×3×4) and
+//! all three protocol variants (`nonpriv`, `priv`, `priv3`).
 //!
 //! ## Search structure
 //!
@@ -92,7 +90,30 @@ use specrt_spec::{
 use specrt_trace::{HitKind, TraceEvent};
 
 use crate::generate::Op;
-use crate::interleave::Coverage;
+
+/// Race-case coverage accounting over one or more explorations.
+#[derive(Debug, Clone, Default)]
+pub struct Coverage {
+    /// `counts[i]` = times race case `('a' + i)` was reached.
+    pub counts: [u64; 8],
+}
+
+impl Coverage {
+    /// Race-case letters never reached.
+    pub fn unvisited(&self) -> Vec<char> {
+        self.counts
+            .iter()
+            .enumerate()
+            .filter(|(_, &c)| c == 0)
+            .map(|(i, _)| (b'a' + i as u8) as char)
+            .collect()
+    }
+
+    /// Whether all of (a)–(h) were reached.
+    pub fn complete(&self) -> bool {
+        self.counts.iter().all(|&c| c > 0)
+    }
+}
 
 /// Per-processor access-sequence cap (sequences of 0, 1 or 2 accesses).
 pub const MAX_OPS_PER_PROC: usize = 2;
@@ -557,7 +578,7 @@ type KeyBuild = BuildHasherDefault<KeyHasher>;
 
 /// The messages enabled in one state: at most one access per processor,
 /// one delivery per in-flight message and one eviction per copy.
-type Enabled =
+pub type Enabled =
     InlineVec<SpecMessage, { MAX_PROCS as usize * (1 + MAX_LINES as usize) + MAX_INFLIGHT }>;
 
 /// Explores every interleaving of one script; if `want_path`, also returns
@@ -666,9 +687,16 @@ fn explore(
     (outcome, path)
 }
 
-/// Deterministically ordered enabled messages: accesses by processor,
-/// deliveries by queue index, evictions by (processor, line).
-fn enabled_messages(spec: &ProtocolSpec, s: &SpecState, pcs: &[u16], script: &Script) -> Enabled {
+/// The messages enabled in node `(s, pcs)` of `script`, deterministically
+/// ordered: accesses by processor, deliveries by queue index, evictions by
+/// (processor, line). The explorer and the spec purity walk in
+/// `tests/spec_shadow.rs` both enumerate successors through this.
+pub fn enabled_messages(
+    spec: &ProtocolSpec,
+    s: &SpecState,
+    pcs: &[u16],
+    script: &Script,
+) -> Enabled {
     let mut out = Enabled::filled(SpecMessage::Deliver { index: 0 }, 0);
     for (p, &pc) in pcs.iter().enumerate() {
         if let Some(op) = script[p].get(pc as usize) {
@@ -861,7 +889,7 @@ pub fn run_model(cfg: &ModelConfig) -> ModelReport {
         violations: 0,
         invariant_violations: 0,
         conservative: 0,
-        coverage: Coverage::new(),
+        coverage: Coverage::default(),
         counterexample: None,
     };
     let mut first_bad = None;
@@ -873,7 +901,9 @@ pub fn run_model(cfg: &ModelConfig) -> ModelReport {
         if envelope_holds(cfg.variant, script) && !o.any_pass {
             report.conservative += 1;
         }
-        report.coverage.merge(&o.coverage);
+        for (c, n) in report.coverage.counts.iter_mut().zip(o.coverage.counts) {
+            *c += n;
+        }
         if first_bad.is_none() && (o.violation || o.invariant_violations > 0) {
             first_bad = Some(i);
         }

@@ -1,8 +1,9 @@
 //! Debug-build conformance smoke: a bounded differential-fuzz run (with
-//! every `debug_assertions` invariant hook live) and the full small-scope
-//! interleaving enumeration.
+//! every `debug_assertions` invariant hook live) and a bounded model check
+//! of the non-privatization protocol at one line of two elements.
 
-use specrt_check::{enumerate_small_scope, fuzz, Coverage};
+use specrt_check::{fuzz, run_model, ModelConfig};
+use specrt_spec::{SpecScope, SpecVariant};
 
 #[test]
 fn bounded_fuzz_agrees_with_oracle_under_debug_invariants() {
@@ -20,22 +21,35 @@ fn bounded_fuzz_agrees_with_oracle_under_debug_invariants() {
     }
 }
 
+/// One line of two elements under three processors, at most five
+/// accesses: every ordering of accesses, update-message deliveries and
+/// evictions, with verdicts read after the final flush as the machine
+/// reads them. Up to processor symmetry, the script universe holds every
+/// pair of two-processor sequences of at most two accesses.
 #[test]
-fn interleaving_enumeration_is_sound_and_covers_all_race_cases() {
-    let mut cov = Coverage::new();
-    let summary = enumerate_small_scope(&mut cov);
+fn nonpriv_model_at_one_line_is_sound_and_covers_all_race_cases() {
+    let report = run_model(&ModelConfig {
+        scope: SpecScope {
+            lines: 1,
+            elems: 2,
+            procs: 3,
+        },
+        max_ops: 5,
+        ..ModelConfig::smoke(SpecVariant::NonPriv)
+    });
     assert_eq!(
-        summary.violations, 0,
+        report.violations, 0,
         "an interleaving let a non-envelope pattern pass"
     );
+    assert_eq!(report.invariant_violations, 0, "{}", report.render());
     assert_eq!(
-        summary.conservative, 0,
+        report.conservative, 0,
         "an envelope-holding script never passed"
     );
     assert!(
-        cov.complete(),
-        "race cases unvisited by the enumerator: {:?}",
-        cov.unvisited()
+        report.coverage.complete(),
+        "race cases unvisited by the model: {:?}",
+        report.coverage.unvisited()
     );
-    assert!(summary.states > 1000, "suspiciously small state space");
+    assert_eq!((report.scripts, report.states), (955, 58_285));
 }

@@ -4,7 +4,7 @@
 //! verdicts — CI additionally cross-checks the CLI output of
 //! `specrt-check fuzz --jobs 2` against a `-j1` run.
 
-use specrt_check::{enumerate_small_scope_jobs, fuzz_jobs, run_model, Coverage, ModelConfig};
+use specrt_check::{fuzz_jobs, run_model, ModelConfig};
 use specrt_spec::{SpecScope, SpecVariant};
 
 /// The CI smoke-run configuration: 500 cases from the documented seed.
@@ -78,21 +78,6 @@ fn profiling_does_not_perturb_fuzz_output() {
     // this binary may run concurrently while the profiler is enabled and
     // contribute more — the registry is global, so don't assert equality.
     assert!(case.count >= 128, "expected >= 128 fuzz.case spans");
-}
-
-#[test]
-fn interleave_enumeration_is_identical_across_job_counts() {
-    let mut cov1 = Coverage::new();
-    let s1 = enumerate_small_scope_jobs(&mut cov1, 1);
-    let mut cov4 = Coverage::new();
-    let s4 = enumerate_small_scope_jobs(&mut cov4, 4);
-
-    assert_eq!(s1.scripts, s4.scripts);
-    assert_eq!(s1.states, s4.states);
-    assert_eq!(s1.violations, s4.violations);
-    assert_eq!(s1.conservative, s4.conservative);
-    assert_eq!(cov1.counts, cov4.counts, "coverage counters must match");
-    assert_eq!(s1.violations, 0, "no ordering may break the envelope");
 }
 
 #[test]

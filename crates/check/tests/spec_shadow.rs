@@ -1,55 +1,58 @@
 //! Property test: [`specrt_spec::ProtocolSpec::step`] is a *pure,
-//! deterministic* function of `(state, message)`.
+//! deterministic* function of `(state, message)`, and the machine that
+//! executes the same element-layer steps stays clean under its debug hooks.
 //!
-//! Two angles, mirroring how `MemSystem::assert_invariants` is exercised:
+//! Two angles:
 //!
-//! * **Shadow execution through the fuzz corpus.** Under
-//!   `debug_assertions`, `MemSystem` keeps a `spec_shadow` directory image
-//!   and double-evaluates every `ProtocolSpec` element transition it
-//!   executes, `debug_assert!`-ing that the pure function reproduces the
-//!   imperative machine's state and emissions at every message. Replaying
-//!   the fuzz corpus here (this test binary is built with
-//!   `debug_assertions` on) drives those hooks across every protocol
-//!   variant, schedule kind and race case the templates cover — a mismatch
-//!   panics the replay.
+//! * **The fuzz corpus under the debug invariant hooks.** This test binary
+//!   is built with `debug_assertions` on, so replaying the corpus through
+//!   the full machine runs `MemSystem::assert_invariants` after every
+//!   drain, the per-path in-order delivery check and the spec's stamp
+//!   monotonicity asserts, across every protocol variant, schedule kind
+//!   and race case the templates cover; a violation panics the replay.
+//!   `MemSystem` keeps its directory state in a store whose only element
+//!   writer is `ProtocolSpec::dir_step`, so no machine transition can
+//!   bypass the spec.
 //! * **Direct double-evaluation over the explored state space.** We walk
 //!   every state the bounded model checker can reach at the smoke scope
 //!   and at 2 lines × 2 elems × 2 procs, and call `step` twice on copied
 //!   inputs, asserting identical results and untouched inputs. This
 //!   catches interior mutability or hash-ordering nondeterminism that a
-//!   single shadow evaluation could mask. The same walk checks that every
+//!   single evaluation would mask. The same walk checks that every
 //!   reached `(state, script positions)` node survives the model checker's
 //!   packed encoding unchanged (`unpack(pack(s, pcs)) == (s, pcs)`).
 
 use std::collections::HashSet;
 
-use specrt_check::{enumerate_scripts, run_case, CaseSpec, ModelConfig, Op, TEMPLATE_SEEDS};
-use specrt_spec::{Pcs, ProtocolSpec, SpecMessage, SpecScope, SpecState, SpecVariant};
+use specrt_check::{
+    enabled_messages, enumerate_scripts, run_case, CaseSpec, ModelConfig, TEMPLATE_SEEDS,
+};
+use specrt_spec::{Pcs, ProtocolSpec, SpecMessage, SpecScope, SpecVariant};
 
 /// Seeds beyond the hand-written templates, for generator variety.
 const RANDOM_SEEDS: u64 = 24;
 
 #[test]
-fn fuzz_corpus_replays_clean_through_the_spec_shadow() {
+fn fuzz_corpus_replays_clean_under_debug_hooks() {
     // Each case runs the full machine (all three hardware protocols plus
-    // the software baseline); with debug_assertions on, every directory
-    // and cache-tag transition inside is double-checked against the pure
-    // spec. A spec/machine divergence panics here rather than failing an
-    // assert_eq below — the point of the replay is reaching those hooks.
+    // the software baseline); with debug_assertions on, the coherence
+    // invariants, in-order delivery and stamp monotonicity are asserted
+    // inside. A violation panics here rather than failing the assert
+    // below — the point of the replay is reaching those hooks.
     for seed in 0..TEMPLATE_SEEDS + RANDOM_SEEDS {
         let case = CaseSpec::generate(seed);
         let result = run_case(&case);
         assert!(
             result.ok(),
-            "seed {seed}: machine/oracle mismatch during shadow replay: {:?}",
+            "seed {seed}: machine/oracle mismatch during the corpus replay: {:?}",
             result.mismatches
         );
     }
-    // The shadow hooks only exist in debug builds; this test binary is
-    // compiled with debug_assertions on (cargo's default test profile), so
-    // the replay above really did double-check every transition.
+    // The hooks only exist in debug builds; this test binary is compiled
+    // with debug_assertions on (cargo's default test profile), so the
+    // replay above really did run them.
     #[cfg(not(debug_assertions))]
-    panic!("this replay only exercises the spec shadow with debug_assertions on");
+    panic!("this replay only exercises the debug hooks with debug_assertions on");
 }
 
 #[test]
@@ -101,7 +104,7 @@ fn walk(variant: SpecVariant, scope: SpecScope, max_ops: usize) -> (u64, u64) {
                 continue;
             }
             nodes += 1;
-            for m in enabled(scope, &s, &pcs, &script) {
+            for &m in &enabled_messages(&spec, &s, &pcs, &script) {
                 let before = s;
                 let (n1, e1) = spec.step(&s, &m);
                 let (n2, e2) = spec.step(&s, &m);
@@ -122,34 +125,4 @@ fn walk(variant: SpecVariant, scope: SpecScope, max_ops: usize) -> (u64, u64) {
         }
     }
     (checked, nodes)
-}
-
-/// Every message enabled in `s`: next script ops, pending deliveries, and
-/// evictions of resident lines.
-fn enabled(scope: SpecScope, s: &SpecState, pcs: &[u16], script: &[Vec<Op>]) -> Vec<SpecMessage> {
-    let mut out = Vec::new();
-    for (p, seq) in script.iter().enumerate() {
-        if let Some(op) = seq.get(pcs[p] as usize) {
-            let (write, elem) = match *op {
-                Op::Read(e) => (false, e as u16),
-                Op::Write(e) => (true, e as u16),
-            };
-            out.push(SpecMessage::Access {
-                proc: p as u16,
-                write,
-                elem,
-            });
-        }
-    }
-    for i in 0..s.inflight.len() {
-        out.push(SpecMessage::Deliver { index: i });
-    }
-    for proc in 0..scope.procs {
-        for line in 0..scope.lines {
-            if s.copies[scope.copy_index(proc, line)].is_some() {
-                out.push(SpecMessage::Evict { proc, line });
-            }
-        }
-    }
-    out
 }

@@ -9,109 +9,78 @@
 use specrt_ir::ArrayId;
 use specrt_mem::{IdMap, ProcId};
 use specrt_spec::{
-    NonPrivDirElem, PrivNoReadInPrivate, PrivNoReadInShared, PrivPrivateElem, PrivSharedElem,
+    DirElem, DirEmission, DirEvent, PrivNoReadInPrivate, PrivPrivateElem, ProtocolSpec, SpecVariant,
 };
 
-/// Non-privatization directory state for every element of the arrays under
-/// that test.
+/// Shared-directory speculation state for every element of the arrays
+/// under test: one [`DirElem`] per element, in the protocol variant the
+/// loop's plan names for the array.
+///
+/// There is no mutable element access. [`Self::step`] runs
+/// [`ProtocolSpec::dir_step`] and stores its successor, so the spec's
+/// transition function is the only writer of element state; registering
+/// and clearing only ever reset whole arrays to the all-clear state.
 #[derive(Debug, Clone, Default)]
-pub struct NonPrivStore {
-    arrays: IdMap<ArrayId, Vec<NonPrivDirElem>>,
+pub struct SharedDirStore {
+    arrays: IdMap<ArrayId, (SpecVariant, Vec<DirElem>)>,
 }
 
-impl NonPrivStore {
+impl SharedDirStore {
     /// Creates an empty store.
     pub fn new() -> Self {
-        NonPrivStore::default()
+        SharedDirStore::default()
     }
 
-    /// Registers `arr` with `len` elements, all state clear.
-    pub fn register(&mut self, arr: ArrayId, len: u64) {
+    /// Registers `arr` with `len` clear elements of `variant`, replacing
+    /// any earlier registration.
+    pub fn register(&mut self, arr: ArrayId, variant: SpecVariant, len: u64) {
         self.arrays
-            .insert(arr, vec![NonPrivDirElem::default(); len as usize]);
+            .insert(arr, (variant, vec![DirElem::new(variant); len as usize]));
     }
 
-    /// Whether `arr` is registered.
-    pub fn contains(&self, arr: ArrayId) -> bool {
-        self.arrays.contains_key(&arr)
+    /// The variant `arr` is registered with, if any.
+    pub fn variant_of(&self, arr: ArrayId) -> Option<SpecVariant> {
+        self.arrays.get(&arr).map(|(v, _)| *v)
     }
 
-    /// Element state accessor.
+    /// The state of `arr[idx]`, or `None` if `arr` is unregistered.
     ///
     /// # Panics
     ///
-    /// Panics if the array is unregistered or the index out of range.
-    pub fn elem(&self, arr: ArrayId, idx: u64) -> &NonPrivDirElem {
-        &self.arrays[&arr][idx as usize]
+    /// Panics if the index is out of range.
+    pub fn get(&self, arr: ArrayId, idx: u64) -> Option<DirElem> {
+        self.arrays.get(&arr).map(|(_, v)| v[idx as usize])
     }
 
-    /// Mutable element state accessor.
+    /// Runs [`ProtocolSpec::dir_step`] at `arr[idx]`, stores the successor
+    /// and returns the emission.
     ///
     /// # Panics
     ///
-    /// Panics if the array is unregistered or the index out of range.
-    pub fn elem_mut(&mut self, arr: ArrayId, idx: u64) -> &mut NonPrivDirElem {
-        &mut self.arrays.get_mut(&arr).expect("array registered")[idx as usize]
+    /// Panics if the array is unregistered, the index is out of range, or
+    /// the event does not apply to the array's variant.
+    pub fn step(&mut self, arr: ArrayId, idx: u64, ev: DirEvent) -> Option<DirEmission> {
+        let (_, elems) = self.arrays.get_mut(&arr).expect("array registered");
+        let elem = &mut elems[idx as usize];
+        let (next, em) = ProtocolSpec::dir_step(*elem, ev);
+        *elem = next;
+        em
     }
 
     /// Clears all state (loop start: "clearing the directory tags … with a
     /// system call").
     pub fn clear(&mut self) {
-        for v in self.arrays.values_mut() {
-            for e in v {
-                e.clear();
-            }
+        for (variant, elems) in self.arrays.values_mut() {
+            elems.fill(DirElem::new(*variant));
         }
     }
-}
 
-/// Shared-copy privatization stamps (`MaxR1st`/`MinW`) for privatized
-/// arrays.
-#[derive(Debug, Clone, Default)]
-pub struct PrivSharedStore {
-    arrays: IdMap<ArrayId, Vec<PrivSharedElem>>,
-}
-
-impl PrivSharedStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        PrivSharedStore::default()
-    }
-
-    /// Registers `arr` with `len` elements.
-    pub fn register(&mut self, arr: ArrayId, len: u64) {
-        self.arrays
-            .insert(arr, vec![PrivSharedElem::default(); len as usize]);
-    }
-
-    /// Whether `arr` is registered.
-    pub fn contains(&self, arr: ArrayId) -> bool {
-        self.arrays.contains_key(&arr)
-    }
-
-    /// Element accessor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if unregistered/out of range.
-    pub fn elem(&self, arr: ArrayId, idx: u64) -> &PrivSharedElem {
-        &self.arrays[&arr][idx as usize]
-    }
-
-    /// Mutable element accessor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if unregistered/out of range.
-    pub fn elem_mut(&mut self, arr: ArrayId, idx: u64) -> &mut PrivSharedElem {
-        &mut self.arrays.get_mut(&arr).expect("array registered")[idx as usize]
-    }
-
-    /// Clears all stamps.
-    pub fn clear(&mut self) {
-        for v in self.arrays.values_mut() {
-            for e in v {
-                e.clear();
+    /// Clears only the stamped privatization arrays (a §3.3 stamp-window
+    /// reset); non-privatization and no-read-in state survives.
+    pub fn clear_stamps(&mut self) {
+        for (variant, elems) in self.arrays.values_mut() {
+            if *variant == SpecVariant::Priv {
+                elems.fill(DirElem::new(SpecVariant::Priv));
             }
         }
     }
@@ -221,24 +190,42 @@ mod tests {
     use super::*;
 
     #[test]
-    fn nonpriv_store_round_trip() {
-        let mut s = NonPrivStore::new();
-        s.register(ArrayId(0), 4);
-        assert!(s.contains(ArrayId(0)));
-        s.elem_mut(ArrayId(0), 2).on_write_req(ProcId(1)).unwrap();
-        assert_eq!(s.elem(ArrayId(0), 2).first, Some(ProcId(1)));
-        s.clear();
-        assert_eq!(s.elem(ArrayId(0), 2).first, None);
-    }
+    fn shared_dir_store_steps_and_clears() {
+        use specrt_spec::FailReason;
 
-    #[test]
-    fn priv_shared_store_round_trip() {
-        let mut s = PrivSharedStore::new();
-        s.register(ArrayId(1), 3);
-        s.elem_mut(ArrayId(1), 0).on_first_write(5).unwrap();
-        assert!(s.elem(ArrayId(1), 0).written());
+        let (np, pr, p3) = (ArrayId(0), ArrayId(1), ArrayId(2));
+        let mut s = SharedDirStore::new();
+        s.register(np, SpecVariant::NonPriv, 4);
+        s.register(pr, SpecVariant::Priv, 3);
+        s.register(p3, SpecVariant::Priv3, 2);
+        assert_eq!(s.variant_of(pr), Some(SpecVariant::Priv));
+        assert_eq!(s.get(ArrayId(9), 0), None);
+
+        assert_eq!(s.step(np, 2, DirEvent::WriteReq { from: ProcId(1) }), None);
+        assert_eq!(s.get(np, 2).unwrap().state_label(), "NoShr,First(cpu1)");
+        assert_eq!(s.step(pr, 0, DirEvent::FirstWrite { iter: 5 }), None);
+        assert_eq!(s.step(p3, 1, DirEvent::FirstWrite { iter: 1 }), None);
+        assert_eq!(
+            s.step(p3, 1, DirEvent::ReadFirst { iter: 1 }),
+            Some(DirEmission::Fail(FailReason::ReadFirstAfterWrite {
+                iter: 0,
+                min_w: 0
+            }))
+        );
+
+        // A stamp-window reset clears the stamps and nothing else.
+        s.clear_stamps();
+        assert_eq!(s.get(pr, 0), Some(DirElem::new(SpecVariant::Priv)));
+        assert_ne!(s.get(np, 2), Some(DirElem::new(SpecVariant::NonPriv)));
+        assert_ne!(s.get(p3, 1), Some(DirElem::new(SpecVariant::Priv3)));
+
         s.clear();
-        assert!(!s.elem(ArrayId(1), 0).written());
+        assert_eq!(s.get(np, 2), Some(DirElem::new(SpecVariant::NonPriv)));
+        assert_eq!(s.get(p3, 1), Some(DirElem::new(SpecVariant::Priv3)));
+
+        // Re-registering under another variant replaces the array.
+        s.register(np, SpecVariant::Priv3, 4);
+        assert_eq!(s.get(np, 3), Some(DirElem::new(SpecVariant::Priv3)));
     }
 
     #[test]
@@ -271,57 +258,6 @@ mod tests {
             .on_first_write_signal(7);
         assert_eq!(s.last_writer(ArrayId(0), 3, 0), Some((ProcId(2), 7)));
         assert_eq!(s.last_writer(ArrayId(0), 3, 1), None);
-    }
-}
-
-/// Shared-directory reduced (no-read-in) privatization bits (Figure 5-b).
-#[derive(Debug, Clone, Default)]
-pub struct Priv3SharedStore {
-    arrays: IdMap<ArrayId, Vec<PrivNoReadInShared>>,
-}
-
-impl Priv3SharedStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Priv3SharedStore::default()
-    }
-
-    /// Registers `arr` with `len` elements.
-    pub fn register(&mut self, arr: ArrayId, len: u64) {
-        self.arrays
-            .insert(arr, vec![PrivNoReadInShared::default(); len as usize]);
-    }
-
-    /// Whether `arr` is registered.
-    pub fn contains(&self, arr: ArrayId) -> bool {
-        self.arrays.contains_key(&arr)
-    }
-
-    /// Element accessor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if unregistered/out of range.
-    pub fn elem(&self, arr: ArrayId, idx: u64) -> &PrivNoReadInShared {
-        &self.arrays[&arr][idx as usize]
-    }
-
-    /// Mutable element accessor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if unregistered/out of range.
-    pub fn elem_mut(&mut self, arr: ArrayId, idx: u64) -> &mut PrivNoReadInShared {
-        &mut self.arrays.get_mut(&arr).expect("array registered")[idx as usize]
-    }
-
-    /// Clears all bits.
-    pub fn clear(&mut self) {
-        for v in self.arrays.values_mut() {
-            for e in v {
-                e.clear();
-            }
-        }
     }
 }
 
@@ -413,19 +349,11 @@ mod priv3_tests {
     use super::*;
 
     #[test]
-    fn priv3_stores_round_trip() {
-        let mut s = Priv3SharedStore::new();
-        s.register(ArrayId(0), 2);
-        assert!(s.contains(ArrayId(0)));
-        s.elem_mut(ArrayId(0), 1).on_first_write().unwrap();
-        assert!(s.elem_mut(ArrayId(0), 1).on_read_first().is_err());
-        s.clear();
-        s.elem_mut(ArrayId(0), 1).on_read_first().unwrap();
-
+    fn priv3_private_store_round_trip() {
         let mut p = Priv3PrivateStore::new();
         p.register(ArrayId(0), ProcId(0), 2);
         let mut e = *p.elem(ArrayId(0), ProcId(0), 0);
-        e.on_write().unwrap();
+        e.on_write();
         p.set(ArrayId(0), ProcId(0), 0, e);
         assert!(p.elem(ArrayId(0), ProcId(0), 0).write);
         p.clear_iteration_bits(ProcId(0));
@@ -443,7 +371,6 @@ mod priv3_tests {
     #[test]
     fn priv3_iteration_reset_matches_a_full_walk() {
         use specrt_engine::SplitMix64;
-        use specrt_spec::ProtocolSpec;
 
         let mut rng = SplitMix64::new(0x0b17_5003);
         for _case in 0..64 {

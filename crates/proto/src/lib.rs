@@ -15,11 +15,14 @@
 //! * [`directory`] — per-node directory slices tracking each line as
 //!   Uncached / Shared(sharers) / Dirty(owner);
 //! * [`bits`] — the directory-side access-bit stores: the "dedicated memory
-//!   that is close to the directory" of §4.1, holding
-//!   [`NonPrivDirElem`](specrt_spec::NonPrivDirElem) /
-//!   [`PrivSharedElem`](specrt_spec::PrivSharedElem) /
-//!   [`PrivPrivateElem`](specrt_spec::PrivPrivateElem) state per element of
-//!   each array under test;
+//!   that is close to the directory" of §4.1. One
+//!   [`SharedDirStore`](bits::SharedDirStore) holds the shared directory's
+//!   [`DirElem`](specrt_spec::DirElem) state per element of each array
+//!   under test, written only through
+//!   [`ProtocolSpec::dir_step`](specrt_spec::ProtocolSpec::dir_step); the
+//!   private-directory stores hold each processor's
+//!   [`PrivPrivateElem`](specrt_spec::PrivPrivateElem) /
+//!   [`PrivNoReadInPrivate`](specrt_spec::PrivNoReadInPrivate) state;
 //! * [`system`] — [`system::MemSystem`], the façade the machine
 //!   layer talks to: every simulated load/store enters here and comes back
 //!   with a completion time, possible read-in instructions, and possibly a

@@ -19,14 +19,12 @@ use specrt_ir::ArrayId;
 use specrt_mem::{ArrayLayout, ElemSize, LineAddr, NodeId, NumaAllocator, PlacementPolicy, ProcId};
 use specrt_net::{Delivery, FaultAction, FaultStats, NetConfig, NetSummary, Network};
 use specrt_spec::{
-    CacheEmission, CacheEvent, DirElem, DirEmission, DirEvent, FailReason, IterationNumbering,
-    NoReadInOutcome, PrivateEffect, PrivateEvent, ProtocolKind, ProtocolSpec, TestPlan,
+    CacheEmission, CacheEvent, DirEmission, DirEvent, FailReason, IterationNumbering,
+    PrivateEffect, PrivateEvent, ProtocolKind, ProtocolSpec, SpecVariant, TestPlan,
 };
 use specrt_trace::{HitKind, TraceEvent, Tracer};
 
-use crate::bits::{
-    NonPrivStore, Priv3PrivateStore, Priv3SharedStore, PrivPrivateStore, PrivSharedStore,
-};
+use crate::bits::{Priv3PrivateStore, PrivPrivateStore, SharedDirStore};
 use crate::directory::{DirLineState, DirectoryNode, SharerSet};
 use crate::latency::LatencyConfig;
 
@@ -41,17 +39,10 @@ pub fn private_copy_id(arr: ArrayId, proc: ProcId) -> ArrayId {
     ArrayId(PRIVATE_ID_BASE | (arr.0 << 8) | proc.0)
 }
 
-/// Executes the pure non-privatization cache-tag transition in place,
-/// double-evaluating under `debug_assertions` to enforce
-/// [`ProtocolSpec`]'s determinism contract at the tag layer (free function
-/// because callers hold a tag borrow into the cache hierarchy).
+/// Executes the pure non-privatization cache-tag transition in place (free
+/// function because callers hold a tag borrow into the cache hierarchy).
 fn spec_cache_step(tag: &mut ElemTag, dirty: bool, ev: CacheEvent) -> Option<CacheEmission> {
     let (next, em) = ProtocolSpec::cache_step(*tag, dirty, ev);
-    debug_assert_eq!(
-        (next, em),
-        ProtocolSpec::cache_step(*tag, dirty, ev),
-        "ProtocolSpec::cache_step must be deterministic"
-    );
     *tag = next;
     em
 }
@@ -64,15 +55,6 @@ fn spec_private_cache(tag: &mut ElemTag, write: bool) -> bool {
     } else {
         ProtocolSpec::private_cache_read(*tag)
     };
-    debug_assert_eq!(
-        (next, signal),
-        if write {
-            ProtocolSpec::private_cache_write(*tag)
-        } else {
-            ProtocolSpec::private_cache_read(*tag)
-        },
-        "ProtocolSpec private cache steps must be deterministic"
-    );
     *tag = next;
     signal
 }
@@ -207,10 +189,8 @@ pub struct MemSystem {
     /// default) so the dense network stream never perturbs existing
     /// transaction-level golden traces.
     net_trace: bool,
-    nonpriv: NonPrivStore,
-    priv_shared: PrivSharedStore,
+    shared_dir: SharedDirStore,
     priv_private: PrivPrivateStore,
-    priv3_shared: Priv3SharedStore,
     priv3_private: Priv3PrivateStore,
     /// Private-copy layouts, `(array, per-processor slots)`. A flat
     /// linear-scan structure, not a map: the lookup sits on the hot
@@ -237,20 +217,6 @@ pub struct MemSystem {
     /// Scratch: abort context `(proc, arr, idx, iter)` of the access or
     /// message currently being processed, consumed by [`Self::fail`].
     cur_ctx: Option<(Option<u32>, u32, u64, Option<u64>)>,
-    /// Debug-only shadow of the shared-directory stores, advanced through
-    /// [`ProtocolSpec::dir_step`] in lock-step with the real state. Every
-    /// spec step first checks the store still matches the shadow (nothing
-    /// mutated protocol state behind the spec's back) and then records the
-    /// successor the spec computed (the executor wrote back exactly that).
-    /// Together with the double evaluation in the choke points below this
-    /// enforces the spec's purity/determinism contract on every message of
-    /// every debug run — the `assert_invariants` pattern.
-    /// Flat per-array element vectors (grown on demand): the shadow is
-    /// consulted on every debug-build spec step, and is only ever read
-    /// point-wise — never iterated for output — so no ordered map is
-    /// needed.
-    #[cfg(debug_assertions)]
-    spec_shadow: Vec<(ArrayId, Vec<Option<DirElem>>)>,
     /// Latest scheduled delivery time per `(src, dst)` node pair. On a
     /// fault-free network this only *asserts* (debug builds) the
     /// interconnect's in-order per-path guarantee — the computed arrival is
@@ -317,10 +283,8 @@ impl MemSystem {
                 .collect(),
             net: Network::new(cfg.net, cfg.procs, cfg.latency.net_oneway),
             net_trace: false,
-            nonpriv: NonPrivStore::new(),
-            priv_shared: PrivSharedStore::new(),
+            shared_dir: SharedDirStore::new(),
             priv_private: PrivPrivateStore::new(),
-            priv3_shared: Priv3SharedStore::new(),
             priv3_private: Priv3PrivateStore::new(),
             private_layouts: Vec::new(),
             msgs: EventQueue::new(),
@@ -333,8 +297,6 @@ impl MemSystem {
             last_queue: Cycles(0),
             last_case: None,
             cur_ctx: None,
-            #[cfg(debug_assertions)]
-            spec_shadow: Vec::new(),
             msg_arrival: vec![Cycles(0); procs * procs],
             trace_filter: trace_filter(),
             cfg,
@@ -385,58 +347,40 @@ impl MemSystem {
     pub fn configure_loop(&mut self, plan: TestPlan, numbering: IterationNumbering) {
         self.numbering = numbering;
         for (arr, kind) in plan.arrays_under_test() {
+            let Some(variant) = kind.variant() else {
+                continue;
+            };
+            if self.shared_dir.variant_of(arr) == Some(variant) {
+                continue;
+            }
             let layout = self.layout(arr);
-            match kind {
-                ProtocolKind::NonPriv => {
-                    if !self.nonpriv.contains(arr) {
-                        self.nonpriv.register(arr, layout.len);
-                    }
+            self.shared_dir.register(arr, variant, layout.len);
+            if variant == SpecVariant::NonPriv {
+                continue;
+            }
+            for p in 0..self.cfg.procs {
+                let proc = ProcId(p);
+                if self.private_layout_get(arr, proc).is_none() {
+                    let pid = private_copy_id(arr, proc);
+                    let playout = self.numa.alloc_array(
+                        pid,
+                        layout.len,
+                        layout.elem,
+                        PlacementPolicy::Local(proc.node()),
+                    );
+                    self.private_layout_set(arr, proc, playout);
                 }
-                ProtocolKind::Priv { read_in, copy_out } => {
-                    let reduced = !read_in && !copy_out;
-                    let registered = if reduced {
-                        self.priv3_shared.contains(arr)
-                    } else {
-                        self.priv_shared.contains(arr)
-                    };
-                    if !registered {
-                        if reduced {
-                            // Figure 5-b: the no-read-in/no-copy-out state.
-                            self.priv3_shared.register(arr, layout.len);
-                        } else {
-                            self.priv_shared.register(arr, layout.len);
-                        }
-                        for p in 0..self.cfg.procs {
-                            let proc = ProcId(p);
-                            if self.private_layout_get(arr, proc).is_none() {
-                                let pid = private_copy_id(arr, proc);
-                                let playout = self.numa.alloc_array(
-                                    pid,
-                                    layout.len,
-                                    layout.elem,
-                                    PlacementPolicy::Local(proc.node()),
-                                );
-                                self.private_layout_set(arr, proc, playout);
-                            }
-                            if reduced {
-                                self.priv3_private.register(arr, proc, layout.len);
-                            } else {
-                                self.priv_private.register(arr, proc, layout.len);
-                            }
-                        }
-                    }
+                if variant == SpecVariant::Priv3 {
+                    self.priv3_private.register(arr, proc, layout.len);
+                } else {
+                    self.priv_private.register(arr, proc, layout.len);
                 }
-                ProtocolKind::Plain => {}
             }
         }
         self.plan = plan;
-        self.nonpriv.clear();
-        self.priv_shared.clear();
+        self.shared_dir.clear();
         self.priv_private.clear();
-        self.priv3_shared.clear();
         self.priv3_private.clear();
-        #[cfg(debug_assertions)]
-        self.spec_shadow.clear();
         // Hardware tag reset at loop start: every resident line gets fresh
         // access bits sized for the protocol it now runs under (lines may
         // have been cached by pre-loop phases under a different plan).
@@ -536,7 +480,7 @@ impl MemSystem {
     /// cross the window boundary are satisfied, not violations.
     pub fn reset_stamp_window(&mut self, base: u64) {
         self.stamp_base = base;
-        self.priv_shared.clear();
+        self.shared_dir.clear_stamps();
         // The touched marks go too, not just the stamps: the barrier
         // commits the prefix (the machine layer folds the winners into
         // shared memory), so every stamped private copy is stale — another
@@ -545,8 +489,6 @@ impl MemSystem {
         // The next access must re-run the read-in decision against the
         // committed shared data.
         self.priv_private.clear();
-        #[cfg(debug_assertions)]
-        self.spec_shadow.clear();
         for e in &mut self.cur_eff_iter {
             *e = 0;
         }
@@ -563,9 +505,8 @@ impl MemSystem {
         // construction the processor's own.
         let mut stale: Vec<(usize, LineAddr)> = Vec::new();
         for (arr, per_proc) in &self.private_layouts {
-            match self.plan.kind_of(*arr) {
-                ProtocolKind::Priv { read_in, copy_out } if read_in || copy_out => {}
-                _ => continue,
+            if self.plan.kind_of(*arr).variant() != Some(SpecVariant::Priv) {
+                continue;
             }
             for (p, layout) in per_proc.iter().enumerate() {
                 let Some(layout) = layout else { continue };
@@ -608,13 +549,9 @@ impl MemSystem {
         self.msgs.clear();
         self.failure = None;
         self.stamp_base = 0;
-        self.nonpriv.clear();
-        self.priv_shared.clear();
+        self.shared_dir.clear();
         self.priv_private.clear();
-        self.priv3_shared.clear();
         self.priv3_private.clear();
-        #[cfg(debug_assertions)]
-        self.spec_shadow.clear();
         for e in &mut self.cur_eff_iter {
             *e = 0;
         }
@@ -849,19 +786,14 @@ impl MemSystem {
         } else {
             (HitKind::Miss, None)
         };
-        let out = match (self.plan.kind_of(arr), is_write) {
-            (ProtocolKind::Plain, w) => self.plain_access(proc, arr, idx, now, w),
-            (ProtocolKind::NonPriv, false) => self.nonpriv_read(proc, arr, idx, now),
-            (ProtocolKind::NonPriv, true) => self.nonpriv_write(proc, arr, idx, now),
-            (ProtocolKind::Priv { read_in, copy_out }, w) if !read_in && !copy_out => {
-                if w {
-                    self.priv3_write(proc, arr, idx, now)
-                } else {
-                    self.priv3_read(proc, arr, idx, now)
-                }
-            }
-            (ProtocolKind::Priv { .. }, false) => self.priv_read(proc, arr, idx, now),
-            (ProtocolKind::Priv { .. }, true) => self.priv_write(proc, arr, idx, now),
+        let out = match (self.plan.kind_of(arr).variant(), is_write) {
+            (None, w) => self.plain_access(proc, arr, idx, now, w),
+            (Some(SpecVariant::NonPriv), false) => self.nonpriv_read(proc, arr, idx, now),
+            (Some(SpecVariant::NonPriv), true) => self.nonpriv_write(proc, arr, idx, now),
+            (Some(SpecVariant::Priv), false) => self.priv_read(proc, arr, idx, now),
+            (Some(SpecVariant::Priv), true) => self.priv_write(proc, arr, idx, now),
+            (Some(SpecVariant::Priv3), false) => self.priv3_read(proc, arr, idx, now),
+            (Some(SpecVariant::Priv3), true) => self.priv3_write(proc, arr, idx, now),
         };
         if enabled {
             let home = self.trace_home(proc, arr, idx);
@@ -918,23 +850,12 @@ impl MemSystem {
     /// Rendered speculative directory state of `arr[idx]` under the current
     /// plan, if the array is under test.
     fn spec_state_label(&self, arr: ArrayId, idx: u64) -> Option<(&'static str, String)> {
-        match self.plan.kind_of(arr) {
-            ProtocolKind::NonPriv if self.nonpriv.contains(arr) => {
-                Some(("nonpriv", self.nonpriv.elem(arr, idx).state_label()))
-            }
-            ProtocolKind::Priv { read_in, copy_out }
-                if !read_in && !copy_out && self.priv3_shared.contains(arr) =>
-            {
-                Some((
-                    "priv-noreadin",
-                    self.priv3_shared.elem(arr, idx).state_label(),
-                ))
-            }
-            ProtocolKind::Priv { .. } if self.priv_shared.contains(arr) => {
-                Some(("priv", self.priv_shared.elem(arr, idx).state_label()))
-            }
-            _ => None,
-        }
+        let protocol = match self.plan.kind_of(arr).variant()? {
+            SpecVariant::NonPriv => "nonpriv",
+            SpecVariant::Priv => "priv",
+            SpecVariant::Priv3 => "priv-noreadin",
+        };
+        Some((protocol, self.shared_dir.get(arr, idx)?.state_label()))
     }
 
     /// Emits a [`TraceEvent::SpecTransition`] if the shared directory state
@@ -1021,77 +942,15 @@ impl MemSystem {
     // The memory system contributes only the *executor* concerns (timing,
     // NUMA homes, cache geometry, message transport); the race-case logic
     // itself is the same transition function `specrt-check model`
-    // enumerates. Debug builds evaluate every step twice and compare
-    // (determinism) and reconcile a shadow directory (no mutation bypasses
-    // the spec).
+    // enumerates. Shared-directory state lives in a [`SharedDirStore`]
+    // whose only element writer is [`SharedDirStore::step`], so no
+    // transition can bypass [`ProtocolSpec::dir_step`].
 
-    /// Runs [`ProtocolSpec::dir_step`] at one shared-directory element,
-    /// writing the successor back into the owning store.
-    fn spec_dir_step(&mut self, arr: ArrayId, idx: u64, ev: DirEvent) -> Option<DirEmission> {
-        let cur = match ev {
-            DirEvent::ReadFirst { .. } | DirEvent::FirstWrite { .. } => {
-                if self.priv3_shared.contains(arr) {
-                    DirElem::Priv3(*self.priv3_shared.elem(arr, idx))
-                } else {
-                    DirElem::Priv(*self.priv_shared.elem(arr, idx))
-                }
-            }
-            _ => DirElem::NonPriv(*self.nonpriv.elem(arr, idx)),
-        };
-        #[cfg(debug_assertions)]
-        if let Some(shadow) = self.shadow_get(arr, idx) {
-            debug_assert_eq!(
-                *shadow, cur,
-                "directory state of {arr}[{idx}] mutated outside ProtocolSpec"
-            );
-        }
-        let (next, em) = ProtocolSpec::dir_step(cur, ev);
-        #[cfg(debug_assertions)]
-        {
-            debug_assert_eq!(
-                (next, em),
-                ProtocolSpec::dir_step(cur, ev),
-                "ProtocolSpec::dir_step must be deterministic"
-            );
-            self.shadow_set(arr, idx, next);
-        }
-        match next {
-            DirElem::NonPriv(e) => *self.nonpriv.elem_mut(arr, idx) = e,
-            DirElem::Priv(e) => *self.priv_shared.elem_mut(arr, idx) = e,
-            DirElem::Priv3(e) => *self.priv3_shared.elem_mut(arr, idx) = e,
-        }
-        em
-    }
-
-    /// Point lookup in the flat debug shadow directory.
-    #[cfg(debug_assertions)]
-    fn shadow_get(&self, arr: ArrayId, idx: u64) -> Option<&DirElem> {
-        self.spec_shadow
-            .iter()
-            .find(|(a, _)| *a == arr)
-            .and_then(|(_, v)| v.get(idx as usize))
-            .and_then(Option::as_ref)
-    }
-
-    #[cfg(debug_assertions)]
-    fn shadow_set(&mut self, arr: ArrayId, idx: u64, elem: DirElem) {
-        let v = match self.spec_shadow.iter_mut().find(|(a, _)| *a == arr) {
-            Some((_, v)) => v,
-            None => {
-                self.spec_shadow.push((arr, Vec::new()));
-                &mut self.spec_shadow.last_mut().expect("just pushed").1
-            }
-        };
-        if v.len() <= idx as usize {
-            v.resize(idx as usize + 1, None);
-        }
-        v[idx as usize] = Some(elem);
-    }
-
-    /// [`Self::spec_dir_step`] for events whose only possible emission is
-    /// a FAIL (every directory event except `First_update`).
+    /// Runs [`ProtocolSpec::dir_step`] at one shared-directory element for
+    /// events whose only possible emission is a FAIL (every directory
+    /// event except `First_update`).
     fn spec_dir_test(&mut self, arr: ArrayId, idx: u64, ev: DirEvent) -> Result<(), FailReason> {
-        match self.spec_dir_step(arr, idx, ev) {
+        match self.shared_dir.step(arr, idx, ev) {
             None => Ok(()),
             Some(DirEmission::Fail(reason)) => Err(reason),
             Some(em) => unreachable!("directory event {ev:?} emitted {em:?}"),
@@ -1110,34 +969,25 @@ impl MemSystem {
     ) -> PrivateEffect {
         let cur = *self.priv_private.elem(arr, proc, idx);
         let (next, effect) = ProtocolSpec::private_step(cur, ev);
-        debug_assert_eq!(
-            (next, effect),
-            ProtocolSpec::private_step(cur, ev),
-            "ProtocolSpec::private_step must be deterministic"
-        );
         *self.priv_private.elem_mut(arr, proc, idx) = next;
         self.priv_private.mark_touched(arr, proc, idx);
         effect
     }
 
     /// Runs [`ProtocolSpec::private3_step`] at one element of `proc`'s
-    /// no-read-in private directory.
+    /// no-read-in private directory, returning whether the shared
+    /// directory must be signalled.
     fn spec_priv3_step(
         &mut self,
         arr: ArrayId,
         proc: ProcId,
         idx: u64,
         write: bool,
-    ) -> Result<NoReadInOutcome, FailReason> {
+    ) -> Result<bool, FailReason> {
         let cur = *self.priv3_private.elem(arr, proc, idx);
-        let (next, r) = ProtocolSpec::private3_step(cur, write);
-        debug_assert_eq!(
-            (next, r),
-            ProtocolSpec::private3_step(cur, write),
-            "ProtocolSpec::private3_step must be deterministic"
-        );
+        let (next, signal) = ProtocolSpec::private3_step(cur, write);
         self.priv3_private.set(arr, proc, idx, next);
-        r
+        signal
     }
 
     // ------------------------------------------------------------------
@@ -1307,7 +1157,11 @@ impl MemSystem {
         };
         let mut tags = LineTags::cleared((range.end - range.start) as usize);
         for (i, idx) in range.clone().enumerate() {
-            *tags.get_mut(i) = self.nonpriv.elem(layout.id, idx).to_tag(viewer);
+            *tags.get_mut(i) = self
+                .shared_dir
+                .get(layout.id, idx)
+                .expect("array under the non-privatization test")
+                .to_tag(viewer);
         }
         tags
     }
@@ -1507,11 +1361,11 @@ impl MemSystem {
         }
         if signal {
             match self.spec_priv3_step(arr, proc, idx, false) {
-                Ok(NoReadInOutcome::NotifyShared) => {
+                Ok(true) => {
                     self.stats.incr("priv_read_first_signals");
                     self.forward_read_first(proc, arr, idx, 1, now);
                 }
-                Ok(NoReadInOutcome::Local) => {}
+                Ok(false) => {}
                 Err(reason) => self.fail(reason, now),
             }
         }
@@ -1559,11 +1413,11 @@ impl MemSystem {
         };
         if signal {
             match self.spec_priv3_step(arr, proc, idx, true) {
-                Ok(NoReadInOutcome::NotifyShared) => {
+                Ok(true) => {
                     self.stats.incr("priv_first_write_signals");
                     self.forward_first_write(proc, arr, idx, 1, now);
                 }
-                Ok(NoReadInOutcome::Local) => {}
+                Ok(false) => {}
                 Err(reason) => self.fail(reason, now),
             }
         }
@@ -2288,7 +2142,10 @@ impl MemSystem {
             Msg::FirstUpdate { arr, idx, sender } => {
                 self.stats.incr("race_case_f");
                 self.charge_update_service(arr, idx, at);
-                match self.spec_dir_step(arr, idx, DirEvent::FirstUpdate { sender }) {
+                match self
+                    .shared_dir
+                    .step(arr, idx, DirEvent::FirstUpdate { sender })
+                {
                     None => {}
                     Some(DirEmission::SendFirstUpdateFail { target }) => {
                         self.stats.incr("first_update_bounces");
@@ -2397,10 +2254,9 @@ impl MemSystem {
                         "untracked".into()
                     }
                 });
-                let dir_elem = if self.nonpriv.contains(arr) {
-                    format!("{:?}", self.nonpriv.elem(arr, idx))
-                } else {
-                    "unregistered".into()
+                let dir_elem = match self.shared_dir.get(arr, idx) {
+                    Some(e) => format!("{e:?}"),
+                    None => "unregistered".into(),
                 };
                 eprintln!(
                     "[trace] t={now} {proc} {what} {arr}[{idx}] level={level:?} state={state:?} tag={tag:?} dir={dir_elem} dirline={:?}",

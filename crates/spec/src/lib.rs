@@ -22,10 +22,13 @@
 //!   read-in and copy-out.
 //!
 //! The state machines here are *pure*: they mutate tag/directory element
-//! state and report [`FailReason`]s, while `specrt-proto` provides message
-//! timing and `specrt-machine` orchestrates loops. This separation lets
-//! property tests drive the protocols through millions of interleavings
-//! without a simulator in the loop.
+//! state and return what the step obliges — a [`CacheEmission`], a
+//! [`DirEmission`], a [`PrivateEffect`], a signal bit or a [`FailReason`] —
+//! in [`protospec`]'s types, so [`ProtocolSpec`] dispatches to them without
+//! translating. `specrt-proto` executes those steps with message timing,
+//! `specrt-machine` orchestrates loops, and `specrt-check`'s model checker
+//! enumerates the same steps through millions of interleavings without a
+//! simulator in the loop.
 //!
 //! [`privat3`] holds the reduced no-read-in state of Figure 5-b / §4.1.
 //! Also here: [`plan`] (which arrays are under which test — the paper's
@@ -51,15 +54,12 @@ pub use fault::FaultKind;
 pub use inline_vec::InlineVec;
 pub use nonpriv::{
     nonpriv_cache_read, nonpriv_cache_write, nonpriv_complete_write, nonpriv_on_first_update_fail,
-    FirstUpdateOutcome, NonPrivDirElem, NonPrivReadAction, NonPrivWriteAction,
+    NonPrivDirElem,
 };
 pub use packed::PackedState;
 pub use plan::{ProtocolKind, TestPlan};
-pub use privat::{
-    priv_cache_read, priv_cache_write, PrivPrivateElem, PrivSharedElem, PrivateReadMissOutcome,
-    PrivateReadOutcome, PrivateWriteMissOutcome, PrivateWriteOutcome,
-};
-pub use privat3::{NoReadInOutcome, PrivNoReadInPrivate, PrivNoReadInShared};
+pub use privat::{priv_cache_read, priv_cache_write, PrivPrivateElem, PrivSharedElem};
+pub use privat3::{PrivNoReadInPrivate, PrivNoReadInShared};
 pub use protospec::{
     CacheEmission, CacheEvent, DirElem, DirEmission, DirEvent, Emissions, Flight, FlightMsg,
     LineCopy, Pcs, PrivateDirElem, PrivateEffect, PrivateEvent, ProtocolSpec, SpecEmission,

@@ -26,6 +26,7 @@ use specrt_cache::{ElemTag, FirstTag};
 use specrt_mem::ProcId;
 
 use crate::fail::FailReason;
+use crate::protospec::{CacheEmission, DirEmission};
 
 /// Directory-side per-element state for the non-privatization protocol
 /// (Figure 5-a: `log(Proc)`-bit `First` + `NoShr` + `ROnly`).
@@ -37,42 +38,6 @@ pub struct NonPrivDirElem {
     pub no_shr: bool,
     /// Set when the element has been read by more than one processor.
     pub r_only: bool,
-}
-
-/// What a cache-side read must do after the tag check (algorithm (a)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NonPrivReadAction {
-    /// Tag state unchanged or line dirty: no message needed.
-    NoMessage,
-    /// `tag.First` went NONE→OWN on a non-dirty line: notify the home.
-    SendFirstUpdate,
-    /// `tag.ROnly` was set on a non-dirty line: notify the home.
-    SendROnlyUpdate,
-}
-
-/// What a cache-side write must do after the tag check (algorithm (c)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NonPrivWriteAction {
-    /// The line is dirty here: write immediately; tags already updated.
-    WriteNow,
-    /// The line is clean: a `write_req` (upgrade) must go to the home; tags
-    /// are updated when the exclusive grant returns, via
-    /// [`nonpriv_complete_write`].
-    NeedWriteReq,
-}
-
-/// Outcome of the directory processing a `First_update` (algorithm (f)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FirstUpdateOutcome {
-    /// `dir.First` was NONE and now records the sender.
-    Accepted,
-    /// `dir.First` already recorded the sender (message crossed a path that
-    /// already informed the directory); nothing to do.
-    Redundant,
-    /// Another processor won the race: `dir.ROnly` is now set and a
-    /// `First_update_fail` must be bounced to the sender (handled at the
-    /// cache by [`nonpriv_on_first_update_fail`]).
-    Bounced,
 }
 
 impl NonPrivDirElem {
@@ -147,6 +112,12 @@ impl NonPrivDirElem {
     }
 
     /// Directory receives a `First_update` from `sender` (algorithm (f)).
+    /// `dir.First` NONE records the sender; a `dir.First` that already
+    /// names the sender makes the update redundant; both emit nothing.
+    /// When another processor won the race, `dir.ROnly` is set and a
+    /// `First_update_fail` bounces back to the sender (handled at its cache
+    /// by [`nonpriv_on_first_update_fail`]). The update FAILs when it races
+    /// with a write that reached the directory first (`dir.NoShr` set).
     ///
     /// Deviation from the paper's literal pseudo-code: when `dir.First`
     /// already equals the sender the update is treated as redundant instead
@@ -154,24 +125,19 @@ impl NonPrivDirElem {
     /// safe but needlessly conservative; the bounce branch is annotated
     /// "race between two First_updates", i.e. intended for *different*
     /// senders).
-    ///
-    /// # Errors
-    ///
-    /// FAILs when the update races with a write that reached the directory
-    /// first (`dir.NoShr` already set).
-    pub fn on_first_update(&mut self, sender: ProcId) -> Result<FirstUpdateOutcome, FailReason> {
+    pub fn on_first_update(&mut self, sender: ProcId) -> Option<DirEmission> {
         if self.no_shr {
-            return Err(FailReason::FirstUpdateRace { sender });
+            return Some(DirEmission::Fail(FailReason::FirstUpdateRace { sender }));
         }
         match self.first {
             None => {
                 self.first = Some(sender);
-                Ok(FirstUpdateOutcome::Accepted)
+                None
             }
-            Some(f) if f == sender => Ok(FirstUpdateOutcome::Redundant),
+            Some(f) if f == sender => None,
             Some(_) => {
                 self.r_only = true;
-                Ok(FirstUpdateOutcome::Bounced)
+                Some(DirEmission::SendFirstUpdateFail { target: sender })
             }
         }
     }
@@ -263,66 +229,62 @@ impl NonPrivDirElem {
 
 /// Cache-side read of an element whose line is resident (algorithm (a)).
 ///
-/// Mutates the tag and reports which (if any) update message must be sent to
-/// the home node; no message is needed when the line is dirty, because any
-/// other processor must fetch the line — tags included — from this cache.
-///
-/// # Errors
-///
-/// FAILs when the tag shows the element written by another processor
-/// (`First == OTHER && NoShr`).
+/// Mutates the tag and returns the update message (if any) to send to the
+/// home node: `First_update` when `tag.First` went NONE→OWN, `ROnly_update`
+/// when `tag.ROnly` was set. No message is needed when the line is dirty,
+/// because any other processor must fetch the line — tags included — from
+/// this cache. FAILs when the tag shows the element written by another
+/// processor (`First == OTHER && NoShr`).
 pub fn nonpriv_cache_read(
     tag: &mut ElemTag,
     line_dirty: bool,
     reader: ProcId,
-) -> Result<NonPrivReadAction, FailReason> {
+) -> Option<CacheEmission> {
     if tag.first() == FirstTag::Other && tag.no_shr() {
-        return Err(FailReason::ReadOfRemotelyWritten {
+        return Some(CacheEmission::Fail(FailReason::ReadOfRemotelyWritten {
             reader,
             first: None,
-        });
+        }));
     }
     if tag.first() == FirstTag::None {
         tag.set_first(FirstTag::Own);
         if !line_dirty {
-            return Ok(NonPrivReadAction::SendFirstUpdate);
+            return Some(CacheEmission::SendFirstUpdate);
         }
     } else if tag.first() == FirstTag::Other && !tag.r_only() {
         tag.set_r_only(true);
         if !line_dirty {
-            return Ok(NonPrivReadAction::SendROnlyUpdate);
+            return Some(CacheEmission::SendROnlyUpdate);
         }
     }
-    Ok(NonPrivReadAction::NoMessage)
+    None
 }
 
 /// Cache-side write of an element whose line is resident (algorithm (c)).
 ///
-/// On a dirty line the write proceeds locally and the tags are updated with
-/// no directory message. On a clean line the caller must issue a `write_req`
-/// and call [`nonpriv_complete_write`] once the exclusive grant arrives.
-///
-/// # Errors
-///
-/// FAILs when the element was first accessed by another processor or is
-/// marked read-shared.
+/// On a dirty line the write proceeds locally, the tags are updated and
+/// nothing is emitted. On a clean line the tags stay as they are and a
+/// `write_req` (upgrade) must go to the home; [`nonpriv_complete_write`]
+/// updates the tags once the exclusive grant arrives. FAILs when the
+/// element was first accessed by another processor or is marked
+/// read-shared.
 pub fn nonpriv_cache_write(
     tag: &mut ElemTag,
     line_dirty: bool,
     writer: ProcId,
-) -> Result<NonPrivWriteAction, FailReason> {
+) -> Option<CacheEmission> {
     if tag.first() == FirstTag::Other || tag.r_only() {
-        return Err(FailReason::WriteConflict {
+        return Some(CacheEmission::Fail(FailReason::WriteConflict {
             writer,
             first: None,
             r_only: tag.r_only(),
-        });
+        }));
     }
     if line_dirty {
         nonpriv_complete_write(tag);
-        Ok(NonPrivWriteAction::WriteNow)
+        None
     } else {
-        Ok(NonPrivWriteAction::NeedWriteReq)
+        Some(CacheEmission::NeedWriteReq)
     }
 }
 
@@ -436,8 +398,11 @@ mod tests {
     #[test]
     fn first_update_accepted_then_bounced() {
         let mut d = NonPrivDirElem::default();
-        assert_eq!(d.on_first_update(P0).unwrap(), FirstUpdateOutcome::Accepted);
-        assert_eq!(d.on_first_update(P1).unwrap(), FirstUpdateOutcome::Bounced);
+        assert_eq!(d.on_first_update(P0), None);
+        assert_eq!(
+            d.on_first_update(P1),
+            Some(DirEmission::SendFirstUpdateFail { target: P1 })
+        );
         assert!(
             d.r_only,
             "losing a First_update race marks the element read-shared"
@@ -447,11 +412,8 @@ mod tests {
     #[test]
     fn first_update_redundant_for_same_sender() {
         let mut d = NonPrivDirElem::default();
-        d.on_first_update(P0).unwrap();
-        assert_eq!(
-            d.on_first_update(P0).unwrap(),
-            FirstUpdateOutcome::Redundant
-        );
+        d.on_first_update(P0);
+        assert_eq!(d.on_first_update(P0), None);
         assert!(!d.r_only);
     }
 
@@ -459,8 +421,12 @@ mod tests {
     fn first_update_vs_write_race_fails() {
         let mut d = NonPrivDirElem::default();
         d.on_write_req(P0).unwrap();
-        let err = d.on_first_update(P1).unwrap_err();
-        assert!(matches!(err, FailReason::FirstUpdateRace { sender } if sender == P1));
+        assert_eq!(
+            d.on_first_update(P1),
+            Some(DirEmission::Fail(FailReason::FirstUpdateRace {
+                sender: P1
+            }))
+        );
     }
 
     #[test]
@@ -485,16 +451,15 @@ mod tests {
     #[test]
     fn cache_read_first_touch_sends_first_update_when_clean() {
         let mut t = ElemTag::CLEAR;
-        let action = nonpriv_cache_read(&mut t, false, P0).unwrap();
-        assert_eq!(action, NonPrivReadAction::SendFirstUpdate);
+        let em = nonpriv_cache_read(&mut t, false, P0);
+        assert_eq!(em, Some(CacheEmission::SendFirstUpdate));
         assert_eq!(t.first(), FirstTag::Own);
     }
 
     #[test]
     fn cache_read_first_touch_on_dirty_line_is_silent() {
         let mut t = ElemTag::CLEAR;
-        let action = nonpriv_cache_read(&mut t, true, P0).unwrap();
-        assert_eq!(action, NonPrivReadAction::NoMessage);
+        assert_eq!(nonpriv_cache_read(&mut t, true, P0), None);
         assert_eq!(t.first(), FirstTag::Own);
     }
 
@@ -502,12 +467,11 @@ mod tests {
     fn cache_read_sets_r_only_when_other_was_first() {
         let mut t = ElemTag::CLEAR;
         t.set_first(FirstTag::Other);
-        let action = nonpriv_cache_read(&mut t, false, P0).unwrap();
-        assert_eq!(action, NonPrivReadAction::SendROnlyUpdate);
+        let em = nonpriv_cache_read(&mut t, false, P0);
+        assert_eq!(em, Some(CacheEmission::SendROnlyUpdate));
         assert!(t.r_only());
         // A second read needs no further message.
-        let action = nonpriv_cache_read(&mut t, false, P0).unwrap();
-        assert_eq!(action, NonPrivReadAction::NoMessage);
+        assert_eq!(nonpriv_cache_read(&mut t, false, P0), None);
     }
 
     #[test]
@@ -515,14 +479,16 @@ mod tests {
         let mut t = ElemTag::CLEAR;
         t.set_first(FirstTag::Other);
         t.set_no_shr(true);
-        assert!(nonpriv_cache_read(&mut t, false, P0).is_err());
+        assert!(matches!(
+            nonpriv_cache_read(&mut t, false, P0),
+            Some(CacheEmission::Fail(_))
+        ));
     }
 
     #[test]
     fn cache_write_dirty_line_proceeds_and_tags() {
         let mut t = ElemTag::CLEAR;
-        let a = nonpriv_cache_write(&mut t, true, P0).unwrap();
-        assert_eq!(a, NonPrivWriteAction::WriteNow);
+        assert_eq!(nonpriv_cache_write(&mut t, true, P0), None);
         assert_eq!(t.first(), FirstTag::Own);
         assert!(t.no_shr());
     }
@@ -530,8 +496,8 @@ mod tests {
     #[test]
     fn cache_write_clean_line_needs_upgrade() {
         let mut t = ElemTag::CLEAR;
-        let a = nonpriv_cache_write(&mut t, false, P0).unwrap();
-        assert_eq!(a, NonPrivWriteAction::NeedWriteReq);
+        let em = nonpriv_cache_write(&mut t, false, P0);
+        assert_eq!(em, Some(CacheEmission::NeedWriteReq));
         // Tags are not yet updated; they are set on grant completion.
         assert_eq!(t.first(), FirstTag::None);
         nonpriv_complete_write(&mut t);
@@ -543,10 +509,12 @@ mod tests {
     fn cache_write_fails_on_other_first_or_r_only() {
         let mut t = ElemTag::CLEAR;
         t.set_first(FirstTag::Other);
-        assert!(nonpriv_cache_write(&mut t, false, P0).is_err());
+        let em = nonpriv_cache_write(&mut t, false, P0);
+        assert!(matches!(em, Some(CacheEmission::Fail(_))));
         let mut t = ElemTag::CLEAR;
         t.set_r_only(true);
-        assert!(nonpriv_cache_write(&mut t, true, P0).is_err());
+        let em = nonpriv_cache_write(&mut t, true, P0);
+        assert!(matches!(em, Some(CacheEmission::Fail(_))));
     }
 
     #[test]
@@ -609,7 +577,7 @@ mod tests {
         // P0's First_update (from a read) reached the directory while P1
         // held the line dirty and wrote the element without messaging.
         let mut d = NonPrivDirElem::default();
-        d.on_first_update(P0).unwrap();
+        d.on_first_update(P0);
         let mut t = ElemTag::CLEAR;
         t.set_first(FirstTag::Own);
         t.set_no_shr(true);
@@ -623,7 +591,7 @@ mod tests {
         // held dirty (for some other element) — silent. The merge must
         // conclude "read by two processors" without failing.
         let mut d = NonPrivDirElem::default();
-        d.on_first_update(P0).unwrap();
+        d.on_first_update(P0);
         let mut t = ElemTag::CLEAR;
         t.set_first(FirstTag::Own); // P1 believed it was first
         d.merge_writeback(t, P1).unwrap();

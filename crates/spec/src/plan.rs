@@ -10,6 +10,8 @@
 
 use specrt_ir::ArrayId;
 
+use crate::protospec::SpecVariant;
+
 /// Protocol assigned to one array for a speculative loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtocolKind {
@@ -40,6 +42,20 @@ impl ProtocolKind {
     /// Whether the array is privatized.
     pub fn is_privatized(self) -> bool {
         matches!(self, ProtocolKind::Priv { .. })
+    }
+
+    /// The protocol variant that tests the array, if any: privatization
+    /// without read-in and copy-out runs the reduced state of Fig. 5-b.
+    pub fn variant(self) -> Option<SpecVariant> {
+        match self {
+            ProtocolKind::Plain => None,
+            ProtocolKind::NonPriv => Some(SpecVariant::NonPriv),
+            ProtocolKind::Priv {
+                read_in: false,
+                copy_out: false,
+            } => Some(SpecVariant::Priv3),
+            ProtocolKind::Priv { .. } => Some(SpecVariant::Priv),
+        }
     }
 }
 

@@ -24,6 +24,7 @@ use specrt_cache::ElemTag;
 
 use crate::fail::FailReason;
 use crate::fault;
+use crate::protospec::PrivateEffect;
 
 /// Sentinel for `MinW` before any write has been observed.
 const NO_WRITE: u64 = u64::MAX;
@@ -175,34 +176,6 @@ pub struct PrivPrivateElem {
     pub pmax_w: u64,
 }
 
-/// What the private directory decided for a read miss (algorithm (c)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrivateReadMissOutcome {
-    /// First touch of the whole line: fetch the data from the *shared*
-    /// array (read-in); the shared directory must run the read-first test.
-    ReadIn,
-    /// A read-first iteration for this element: signal the shared
-    /// directory; data comes from the private copy.
-    ReadFirst,
-    /// Plain refill from the private copy; no shared-directory traffic.
-    Plain,
-}
-
-/// What the private directory decided for a write miss (algorithm (h)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrivateWriteMissOutcome {
-    /// First write of this processor to the element and first touch of the
-    /// line: fetch the line from the shared array (read-in for write); the
-    /// shared directory must run the first-write test.
-    ReadInForWrite,
-    /// First write of this processor to the element (line already
-    /// resident in the private copy): forward a first-write signal to the
-    /// shared directory.
-    NotifyShared,
-    /// Not the processor's first write: handled entirely locally.
-    Local,
-}
-
 impl PrivPrivateElem {
     /// Whether neither stamp is set (element untouched by this processor).
     pub fn is_untouched(&self) -> bool {
@@ -210,78 +183,77 @@ impl PrivPrivateElem {
     }
 
     /// Private directory receives a read-first *signal* from its processor's
-    /// cache (algorithm (b)): records the stamp. The caller must forward the
-    /// signal to the shared directory unconditionally.
+    /// cache (algorithm (b)): records the stamp. The signal always goes on
+    /// to the shared directory.
     ///
     /// # Panics
     ///
     /// Panics if `iter` is 0.
-    pub fn on_read_first_signal(&mut self, iter: u64) {
+    pub fn on_read_first_signal(&mut self, iter: u64) -> PrivateEffect {
         assert!(iter > 0, "effective iteration stamps are 1-based");
         self.pmax_r1st = self.pmax_r1st.max(iter);
+        PrivateEffect::SignalReadFirst
     }
 
     /// Private directory receives a read *request* (cache miss, algorithm
     /// (c)). `line_untouched` is true when every element of the requested
-    /// memory line has both stamps zero (the read-in test).
+    /// memory line has both stamps zero (the read-in test). A first touch
+    /// of the line reads it in from the shared array, which runs the
+    /// shared directory's read-first test; a read-first iteration for this
+    /// element signals the shared directory; anything else is a plain
+    /// refill from the private copy.
     ///
     /// # Panics
     ///
     /// Panics if `iter` is 0.
-    pub fn on_read_miss(&mut self, iter: u64, line_untouched: bool) -> PrivateReadMissOutcome {
+    pub fn on_read_miss(&mut self, iter: u64, line_untouched: bool) -> PrivateEffect {
         assert!(iter > 0, "effective iteration stamps are 1-based");
         if line_untouched {
             self.pmax_r1st = iter;
-            PrivateReadMissOutcome::ReadIn
+            PrivateEffect::TestReadFirst
         } else if self.pmax_r1st < iter && self.pmax_w < iter {
             self.pmax_r1st = iter;
-            PrivateReadMissOutcome::ReadFirst
+            PrivateEffect::SignalReadFirst
         } else {
-            PrivateReadMissOutcome::Plain
+            PrivateEffect::None
         }
     }
 
     /// Private directory receives a first-write *signal* from its cache
-    /// (algorithm (g)). Returns whether the shared directory must also be
-    /// notified (only on the processor's very first write to the element).
+    /// (algorithm (g)). The shared directory is signalled only on the
+    /// processor's very first write to the element.
     ///
     /// # Panics
     ///
     /// Panics if `iter` is 0.
-    pub fn on_first_write_signal(&mut self, iter: u64) -> bool {
+    pub fn on_first_write_signal(&mut self, iter: u64) -> PrivateEffect {
         assert!(iter > 0, "effective iteration stamps are 1-based");
-        if self.pmax_w == 0 {
-            self.pmax_w = iter;
-            true
+        let first = self.pmax_w == 0;
+        self.pmax_w = self.pmax_w.max(iter);
+        if first {
+            PrivateEffect::SignalFirstWrite
         } else {
-            if self.pmax_w < iter {
-                self.pmax_w = iter;
-            }
-            false
+            PrivateEffect::None
         }
     }
 
     /// Private directory receives a write *request* (cache miss, algorithm
-    /// (h)).
+    /// (h)). The processor's first write to the element either reads the
+    /// line in from the shared array (first touch of the line), which runs
+    /// the shared directory's first-write test, or signals the shared
+    /// directory; later writes are handled locally.
     ///
     /// # Panics
     ///
     /// Panics if `iter` is 0.
-    pub fn on_write_miss(&mut self, iter: u64, line_untouched: bool) -> PrivateWriteMissOutcome {
+    pub fn on_write_miss(&mut self, iter: u64, line_untouched: bool) -> PrivateEffect {
         assert!(iter > 0, "effective iteration stamps are 1-based");
-        if self.pmax_w == 0 {
-            let out = if line_untouched {
-                PrivateWriteMissOutcome::ReadInForWrite
-            } else {
-                PrivateWriteMissOutcome::NotifyShared
-            };
-            self.pmax_w = iter;
-            out
-        } else {
-            if self.pmax_w < iter {
-                self.pmax_w = iter;
-            }
-            PrivateWriteMissOutcome::Local
+        let first = self.pmax_w == 0;
+        self.pmax_w = self.pmax_w.max(iter);
+        match (first, line_untouched) {
+            (true, true) => PrivateEffect::TestFirstWrite,
+            (true, false) => PrivateEffect::SignalFirstWrite,
+            (false, _) => PrivateEffect::None,
         }
     }
 
@@ -291,47 +263,25 @@ impl PrivPrivateElem {
     }
 }
 
-/// Outcome of a cache-resident read under the privatization protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrivateReadOutcome {
-    /// Neither `Read1st` nor `Write` was set for this iteration: a
-    /// read-first; the private directory (and from there the shared
-    /// directory) must be signalled.
-    ReadFirstSignal,
-    /// The iteration already read or wrote the element; nothing to send.
-    NoSignal,
-}
-
-/// Outcome of a cache-resident write under the privatization protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrivateWriteOutcome {
-    /// First write of this iteration to the element: signal the private
-    /// directory.
-    FirstWriteSignal,
-    /// The iteration already wrote the element; nothing to send.
-    NoSignal,
-}
-
 /// Cache-side read hit (algorithm (a)): checks/sets the per-iteration
-/// `Read1st` bit.
-pub fn priv_cache_read(tag: &mut ElemTag) -> PrivateReadOutcome {
-    if !tag.read1st() && !tag.write() {
+/// `Read1st` bit. Returns whether the read is a read-first, which the
+/// private directory (and from there the shared directory) must be
+/// signalled.
+pub fn priv_cache_read(tag: &mut ElemTag) -> bool {
+    let first = !tag.read1st() && !tag.write();
+    if first {
         tag.set_read1st(true);
-        PrivateReadOutcome::ReadFirstSignal
-    } else {
-        PrivateReadOutcome::NoSignal
     }
+    first
 }
 
 /// Cache-side write hit (algorithm (f)): checks/sets the per-iteration
-/// `Write` bit.
-pub fn priv_cache_write(tag: &mut ElemTag) -> PrivateWriteOutcome {
-    if !tag.write() {
-        tag.set_write(true);
-        PrivateWriteOutcome::FirstWriteSignal
-    } else {
-        PrivateWriteOutcome::NoSignal
-    }
+/// `Write` bit. Returns whether this is the iteration's first write to the
+/// element, which the private directory must be signalled.
+pub fn priv_cache_write(tag: &mut ElemTag) -> bool {
+    let first = !tag.write();
+    tag.set_write(true);
+    first
 }
 
 #[cfg(test)]
@@ -463,7 +413,7 @@ mod tests {
     fn read_miss_on_untouched_line_is_read_in() {
         let mut p = PrivPrivateElem::default();
         assert!(p.is_untouched());
-        assert_eq!(p.on_read_miss(3, true), PrivateReadMissOutcome::ReadIn);
+        assert_eq!(p.on_read_miss(3, true), PrivateEffect::TestReadFirst);
         assert_eq!(p.pmax_r1st, 3);
         assert!(!p.is_untouched());
     }
@@ -472,7 +422,7 @@ mod tests {
     fn read_miss_new_iteration_is_read_first() {
         let mut p = PrivPrivateElem::default();
         p.on_read_miss(1, true);
-        assert_eq!(p.on_read_miss(4, false), PrivateReadMissOutcome::ReadFirst);
+        assert_eq!(p.on_read_miss(4, false), PrivateEffect::SignalReadFirst);
         assert_eq!(p.pmax_r1st, 4);
     }
 
@@ -481,7 +431,7 @@ mod tests {
         let mut p = PrivPrivateElem::default();
         p.on_read_miss(2, true);
         // Line evicted, re-read within the same iteration: already counted.
-        assert_eq!(p.on_read_miss(2, false), PrivateReadMissOutcome::Plain);
+        assert_eq!(p.on_read_miss(2, false), PrivateEffect::None);
     }
 
     #[test]
@@ -489,42 +439,36 @@ mod tests {
         let mut p = PrivPrivateElem::default();
         p.on_write_miss(5, true);
         // Read later in iteration 5: written first, so not read-first.
-        assert_eq!(p.on_read_miss(5, false), PrivateReadMissOutcome::Plain);
+        assert_eq!(p.on_read_miss(5, false), PrivateEffect::None);
     }
 
     #[test]
     fn write_miss_first_in_loop_notifies_or_reads_in() {
         let mut p = PrivPrivateElem::default();
-        assert_eq!(
-            p.on_write_miss(2, true),
-            PrivateWriteMissOutcome::ReadInForWrite
-        );
+        assert_eq!(p.on_write_miss(2, true), PrivateEffect::TestFirstWrite);
         assert_eq!(p.pmax_w, 2);
 
         let mut q = PrivPrivateElem::default();
         q.on_read_first_signal(1); // line already resident via a read
-        assert_eq!(
-            q.on_write_miss(2, false),
-            PrivateWriteMissOutcome::NotifyShared
-        );
+        assert_eq!(q.on_write_miss(2, false), PrivateEffect::SignalFirstWrite);
     }
 
     #[test]
     fn write_miss_later_iterations_local() {
         let mut p = PrivPrivateElem::default();
         p.on_write_miss(1, true);
-        assert_eq!(p.on_write_miss(4, false), PrivateWriteMissOutcome::Local);
+        assert_eq!(p.on_write_miss(4, false), PrivateEffect::None);
         assert_eq!(p.pmax_w, 4);
         // Same-iteration re-write after eviction also local, stamp unchanged.
-        assert_eq!(p.on_write_miss(4, false), PrivateWriteMissOutcome::Local);
+        assert_eq!(p.on_write_miss(4, false), PrivateEffect::None);
         assert_eq!(p.pmax_w, 4);
     }
 
     #[test]
     fn first_write_signal_forwards_only_once() {
         let mut p = PrivPrivateElem::default();
-        assert!(p.on_first_write_signal(2));
-        assert!(!p.on_first_write_signal(3));
+        assert_eq!(p.on_first_write_signal(2), PrivateEffect::SignalFirstWrite);
+        assert_eq!(p.on_first_write_signal(3), PrivateEffect::None);
         assert_eq!(p.pmax_w, 3);
     }
 
@@ -550,35 +494,26 @@ mod tests {
     #[test]
     fn cache_read_signals_once_per_iteration() {
         let mut t = ElemTag::CLEAR;
-        assert_eq!(priv_cache_read(&mut t), PrivateReadOutcome::ReadFirstSignal);
-        assert_eq!(priv_cache_read(&mut t), PrivateReadOutcome::NoSignal);
+        assert!(priv_cache_read(&mut t));
+        assert!(!priv_cache_read(&mut t));
         t.clear_iteration_bits(); // next iteration
-        assert_eq!(priv_cache_read(&mut t), PrivateReadOutcome::ReadFirstSignal);
+        assert!(priv_cache_read(&mut t));
     }
 
     #[test]
     fn cache_read_after_write_is_not_read_first() {
         let mut t = ElemTag::CLEAR;
-        assert_eq!(
-            priv_cache_write(&mut t),
-            PrivateWriteOutcome::FirstWriteSignal
-        );
-        assert_eq!(priv_cache_read(&mut t), PrivateReadOutcome::NoSignal);
+        assert!(priv_cache_write(&mut t));
+        assert!(!priv_cache_read(&mut t));
     }
 
     #[test]
     fn cache_write_signals_once_per_iteration() {
         let mut t = ElemTag::CLEAR;
-        assert_eq!(
-            priv_cache_write(&mut t),
-            PrivateWriteOutcome::FirstWriteSignal
-        );
-        assert_eq!(priv_cache_write(&mut t), PrivateWriteOutcome::NoSignal);
+        assert!(priv_cache_write(&mut t));
+        assert!(!priv_cache_write(&mut t));
         t.clear_iteration_bits();
-        assert_eq!(
-            priv_cache_write(&mut t),
-            PrivateWriteOutcome::FirstWriteSignal
-        );
+        assert!(priv_cache_write(&mut t));
     }
 
     // ---- end-to-end stamp property on one element ----

@@ -90,15 +90,6 @@ pub struct PrivNoReadInPrivate {
     pub write_any: bool,
 }
 
-/// What a no-read-in private-directory access decided.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NoReadInOutcome {
-    /// Nothing to forward.
-    Local,
-    /// Forward a read-first / first-write signal to the shared directory.
-    NotifyShared,
-}
-
 impl PrivNoReadInPrivate {
     /// Whether neither per-iteration bit nor the sticky bit is set.
     pub fn is_untouched(&self) -> bool {
@@ -111,7 +102,9 @@ impl PrivNoReadInPrivate {
         self.write = false;
     }
 
-    /// A read by this processor.
+    /// A read by this processor. Returns whether a read-first signal must
+    /// go to the shared directory (the iteration's first access to the
+    /// element).
     ///
     /// # Errors
     ///
@@ -119,30 +112,27 @@ impl PrivNoReadInPrivate {
     /// this same processor wrote the element — a same-processor flow
     /// dependence across iterations, which even the stamped protocol
     /// rejects.
-    pub fn on_read(&mut self) -> Result<NoReadInOutcome, FailReason> {
+    pub fn on_read(&mut self) -> Result<bool, FailReason> {
         if self.read1st || self.write {
-            return Ok(NoReadInOutcome::Local);
+            return Ok(false);
         }
         // A read-first for this iteration.
         if self.write_any {
             return Err(FailReason::ReadFirstAfterWrite { iter: 0, min_w: 0 });
         }
         self.read1st = true;
-        Ok(NoReadInOutcome::NotifyShared)
+        Ok(true)
     }
 
-    /// A write by this processor. Only the processor's *first* write to the
-    /// element in the whole loop notifies the shared directory (mirroring
-    /// the `PMaxW == 0` test of algorithm (g)).
-    pub fn on_write(&mut self) -> Result<NoReadInOutcome, FailReason> {
+    /// A write by this processor. Returns whether a first-write signal
+    /// must go to the shared directory: only the processor's *first* write
+    /// to the element in the whole loop sends one (mirroring the
+    /// `PMaxW == 0` test of algorithm (g)).
+    pub fn on_write(&mut self) -> bool {
         let first_in_loop = !self.write_any;
         self.write = true;
         self.write_any = true;
-        if first_in_loop {
-            Ok(NoReadInOutcome::NotifyShared)
-        } else {
-            Ok(NoReadInOutcome::Local)
-        }
+        first_in_loop
     }
 
     /// Clears everything (loop start).
@@ -174,10 +164,10 @@ mod tests {
         let mut s = PrivNoReadInShared::default();
         for _iter in 0..5 {
             p.clear_iteration();
-            if p.on_write().unwrap() == NoReadInOutcome::NotifyShared {
+            if p.on_write() {
                 s.on_first_write().unwrap();
             }
-            assert_eq!(p.on_read().unwrap(), NoReadInOutcome::Local);
+            assert!(!p.on_read().unwrap());
         }
         assert!(s.any_w && !s.any_r1st);
     }
@@ -188,7 +178,7 @@ mod tests {
         let mut s = PrivNoReadInShared::default();
         for _ in 0..3 {
             p.clear_iteration();
-            if p.on_read().unwrap() == NoReadInOutcome::NotifyShared {
+            if p.on_read().unwrap() {
                 s.on_read_first().unwrap();
             }
         }
@@ -198,7 +188,7 @@ mod tests {
     #[test]
     fn same_proc_write_then_later_read_first_fails_locally() {
         let mut p = PrivNoReadInPrivate::default();
-        p.on_write().unwrap();
+        p.on_write();
         p.clear_iteration();
         assert!(p.on_read().is_err());
     }
@@ -236,7 +226,7 @@ mod tests {
     fn untouched_and_clear() {
         let mut p = PrivNoReadInPrivate::default();
         assert!(p.is_untouched());
-        p.on_write().unwrap();
+        p.on_write();
         assert!(!p.is_untouched());
         p.clear_iteration();
         assert!(!p.is_untouched(), "WriteAny is sticky across iterations");

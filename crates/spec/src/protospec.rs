@@ -1,14 +1,18 @@
 //! The protocol's race-case serialization logic as a **pure transition
-//! function** (ROADMAP item 5).
+//! function** — the one definition the simulator executes and the model
+//! checker enumerates.
 //!
 //! Two layers:
 //!
 //! * the **element layer** — [`ProtocolSpec::dir_step`] (one directory
 //!   element × one message → new element state × emissions) plus the
-//!   cache-tag and private-directory steps. `specrt-proto`'s `MemSystem`
-//!   *executes* these for its real directory/tag stores, so the simulator
-//!   and the model checker run literally the same transition code; the
-//!   timing, NUMA and cache-geometry concerns stay in the executor.
+//!   cache-tag and private-directory steps. They dispatch straight to the
+//!   per-variant state machines of [`crate::nonpriv`], [`crate::privat`]
+//!   and [`crate::privat3`], which return this module's emission types
+//!   themselves. `specrt-proto`'s `MemSystem` *executes* these for its
+//!   real directory/tag stores, so the simulator and the model checker run
+//!   literally the same transition code; the timing, NUMA and
+//!   cache-geometry concerns stay in the executor.
 //! * the **system layer** — [`ProtocolSpec::step`]: a typed, fixed-capacity
 //!   `Copy` [`SpecState`] (directory entries, per-line tag bits,
 //!   private-copy stamps, the pending message queue) over a bounded
@@ -24,8 +28,9 @@
 //! environmental input is the thread-local [`crate::fault`] injection
 //! plane (itself part of the conceptual input: a deliberately-broken
 //! protocol is a *different* transition function).
-//! Under a fixed injection, two evaluations agree bit-for-bit; the
-//! executor double-evaluates under `debug_assertions` to enforce this.
+//! Under a fixed injection, two evaluations agree bit-for-bit; tests
+//! double-evaluate `step` over the model checker's reachable state space
+//! and `dir_step` on fixed inputs to enforce this.
 //!
 //! The per-processor iteration model of the system layer: processor `p`
 //! runs exactly one speculative iteration with 1-based stamp `p + 1`, so
@@ -42,13 +47,10 @@ use specrt_mem::ProcId;
 use crate::inline_vec::InlineVec;
 use crate::nonpriv::{
     nonpriv_cache_read, nonpriv_cache_write, nonpriv_complete_write, nonpriv_on_first_update_fail,
-    FirstUpdateOutcome, NonPrivDirElem, NonPrivReadAction, NonPrivWriteAction,
+    NonPrivDirElem,
 };
-use crate::privat::{
-    priv_cache_read, priv_cache_write, PrivPrivateElem, PrivSharedElem, PrivateReadMissOutcome,
-    PrivateReadOutcome, PrivateWriteMissOutcome, PrivateWriteOutcome,
-};
-use crate::privat3::{NoReadInOutcome, PrivNoReadInPrivate, PrivNoReadInShared};
+use crate::privat::{priv_cache_read, priv_cache_write, PrivPrivateElem, PrivSharedElem};
+use crate::privat3::{PrivNoReadInPrivate, PrivNoReadInShared};
 use crate::FailReason;
 
 // ---------------------------------------------------------------------
@@ -68,39 +70,36 @@ pub enum DirElem {
 }
 
 impl DirElem {
-    /// The non-privatization payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variant is not `NonPriv`.
-    pub fn unwrap_nonpriv(self) -> NonPrivDirElem {
-        match self {
-            DirElem::NonPriv(e) => e,
-            other => panic!("expected NonPriv element, got {other:?}"),
+    /// The all-clear element of `variant` (loop start).
+    pub fn new(variant: SpecVariant) -> DirElem {
+        match variant {
+            SpecVariant::NonPriv => DirElem::NonPriv(NonPrivDirElem::default()),
+            SpecVariant::Priv => DirElem::Priv(PrivSharedElem::default()),
+            SpecVariant::Priv3 => DirElem::Priv3(PrivNoReadInShared::default()),
         }
     }
 
-    /// The privatization payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variant is not `Priv`.
-    pub fn unwrap_priv(self) -> PrivSharedElem {
+    /// Compact state label for tracing (see each variant's
+    /// `state_label`).
+    pub fn state_label(&self) -> String {
         match self {
-            DirElem::Priv(e) => e,
-            other => panic!("expected Priv element, got {other:?}"),
+            DirElem::NonPriv(e) => e.state_label(),
+            DirElem::Priv(e) => e.state_label(),
+            DirElem::Priv3(e) => e.state_label(),
         }
     }
 
-    /// The reduced no-read-in payload.
+    /// The non-privatization data-reply projection into `viewer`'s tag
+    /// view (Fig. 6-b/d: "Copy dir state to tag state").
     ///
     /// # Panics
     ///
-    /// Panics if the variant is not `Priv3`.
-    pub fn unwrap_priv3(self) -> PrivNoReadInShared {
+    /// Panics on a privatization element: private copies have no
+    /// directory projection.
+    pub fn to_tag(&self, viewer: ProcId) -> ElemTag {
         match self {
-            DirElem::Priv3(e) => e,
-            other => panic!("expected Priv3 element, got {other:?}"),
+            DirElem::NonPriv(e) => e.to_tag(viewer),
+            other => panic!("projection is a non-privatization concept, got {other:?}"),
         }
     }
 }
@@ -270,149 +269,98 @@ impl ProtocolSpec {
     /// Panics if the event does not apply to the element's protocol
     /// variant (e.g. a `First_update` at a privatization element) — the
     /// executor routed a message to the wrong store.
-    pub fn dir_step(elem: DirElem, ev: DirEvent) -> (DirElem, Option<DirEmission>) {
-        match (elem, ev) {
-            (DirElem::NonPriv(mut e), DirEvent::ReadReq { from }) => {
-                let em = e.on_read_req(from).err().map(DirEmission::Fail);
-                (DirElem::NonPriv(e), em)
+    pub fn dir_step(mut elem: DirElem, ev: DirEvent) -> (DirElem, Option<DirEmission>) {
+        let tested = match (&mut elem, ev) {
+            (DirElem::NonPriv(e), DirEvent::FirstUpdate { sender }) => {
+                let em = e.on_first_update(sender);
+                return (elem, em);
             }
-            (DirElem::NonPriv(mut e), DirEvent::WriteReq { from }) => {
-                let em = e.on_write_req(from).err().map(DirEmission::Fail);
-                (DirElem::NonPriv(e), em)
+            (DirElem::NonPriv(e), DirEvent::ReadReq { from }) => e.on_read_req(from),
+            (DirElem::NonPriv(e), DirEvent::WriteReq { from }) => e.on_write_req(from),
+            (DirElem::NonPriv(e), DirEvent::Writeback { tag, owner }) => {
+                e.merge_writeback(tag, owner)
             }
-            (DirElem::NonPriv(mut e), DirEvent::Writeback { tag, owner }) => {
-                let em = e.merge_writeback(tag, owner).err().map(DirEmission::Fail);
-                (DirElem::NonPriv(e), em)
-            }
-            (DirElem::NonPriv(mut e), DirEvent::FirstUpdate { sender }) => {
-                let em = match e.on_first_update(sender) {
-                    Ok(FirstUpdateOutcome::Accepted) | Ok(FirstUpdateOutcome::Redundant) => None,
-                    Ok(FirstUpdateOutcome::Bounced) => {
-                        Some(DirEmission::SendFirstUpdateFail { target: sender })
-                    }
-                    Err(reason) => Some(DirEmission::Fail(reason)),
-                };
-                (DirElem::NonPriv(e), em)
-            }
-            (DirElem::NonPriv(mut e), DirEvent::ROnlyUpdate { sender }) => {
-                let em = e.on_r_only_update(sender).err().map(DirEmission::Fail);
-                (DirElem::NonPriv(e), em)
-            }
-            (DirElem::Priv(mut e), DirEvent::ReadFirst { iter }) => {
-                let em = e.on_read_first(iter).err().map(DirEmission::Fail);
-                (DirElem::Priv(e), em)
-            }
-            (DirElem::Priv(mut e), DirEvent::FirstWrite { iter }) => {
-                let em = e.on_first_write(iter).err().map(DirEmission::Fail);
-                (DirElem::Priv(e), em)
-            }
-            (DirElem::Priv3(mut e), DirEvent::ReadFirst { .. }) => {
-                let em = e.on_read_first().err().map(DirEmission::Fail);
-                (DirElem::Priv3(e), em)
-            }
-            (DirElem::Priv3(mut e), DirEvent::FirstWrite { .. }) => {
-                let em = e.on_first_write().err().map(DirEmission::Fail);
-                (DirElem::Priv3(e), em)
-            }
+            (DirElem::NonPriv(e), DirEvent::ROnlyUpdate { sender }) => e.on_r_only_update(sender),
+            (DirElem::Priv(e), DirEvent::ReadFirst { iter }) => e.on_read_first(iter),
+            (DirElem::Priv(e), DirEvent::FirstWrite { iter }) => e.on_first_write(iter),
+            (DirElem::Priv3(e), DirEvent::ReadFirst { .. }) => e.on_read_first(),
+            (DirElem::Priv3(e), DirEvent::FirstWrite { .. }) => e.on_first_write(),
             (elem, ev) => panic!("protocol spec: event {ev:?} does not apply to {elem:?}"),
-        }
+        };
+        (elem, tested.err().map(DirEmission::Fail))
     }
 
     /// The non-privatization cache-tag transition function (algorithms
     /// (a), (c), (g) and the grant completion of (d)).
     pub fn cache_step(
-        tag: ElemTag,
+        mut tag: ElemTag,
         dirty: bool,
         ev: CacheEvent,
     ) -> (ElemTag, Option<CacheEmission>) {
-        let mut t = tag;
         let em = match ev {
-            CacheEvent::Read { reader } => match nonpriv_cache_read(&mut t, dirty, reader) {
-                Ok(NonPrivReadAction::NoMessage) => None,
-                Ok(NonPrivReadAction::SendFirstUpdate) => Some(CacheEmission::SendFirstUpdate),
-                Ok(NonPrivReadAction::SendROnlyUpdate) => Some(CacheEmission::SendROnlyUpdate),
-                Err(reason) => Some(CacheEmission::Fail(reason)),
-            },
-            CacheEvent::Write { writer } => match nonpriv_cache_write(&mut t, dirty, writer) {
-                Ok(NonPrivWriteAction::WriteNow) => None,
-                Ok(NonPrivWriteAction::NeedWriteReq) => Some(CacheEmission::NeedWriteReq),
-                Err(reason) => Some(CacheEmission::Fail(reason)),
-            },
+            CacheEvent::Read { reader } => nonpriv_cache_read(&mut tag, dirty, reader),
+            CacheEvent::Write { writer } => nonpriv_cache_write(&mut tag, dirty, writer),
             CacheEvent::CompleteWrite => {
-                nonpriv_complete_write(&mut t);
+                nonpriv_complete_write(&mut tag);
                 None
             }
-            CacheEvent::FirstUpdateFail { target } => nonpriv_on_first_update_fail(&mut t, target)
-                .err()
-                .map(CacheEmission::Fail),
+            CacheEvent::FirstUpdateFail { target } => {
+                nonpriv_on_first_update_fail(&mut tag, target)
+                    .err()
+                    .map(CacheEmission::Fail)
+            }
         };
-        (t, em)
+        (tag, em)
     }
 
     /// The privatization cache-tag read step: returns the new tag and
     /// whether a read-first signal must go to the private directory.
-    pub fn private_cache_read(tag: ElemTag) -> (ElemTag, bool) {
-        let mut t = tag;
-        let signal = priv_cache_read(&mut t) == PrivateReadOutcome::ReadFirstSignal;
-        (t, signal)
+    pub fn private_cache_read(mut tag: ElemTag) -> (ElemTag, bool) {
+        let signal = priv_cache_read(&mut tag);
+        (tag, signal)
     }
 
     /// The privatization cache-tag write step: returns the new tag and
     /// whether a first-write signal must go to the private directory.
-    pub fn private_cache_write(tag: ElemTag) -> (ElemTag, bool) {
-        let mut t = tag;
-        let signal = priv_cache_write(&mut t) == PrivateWriteOutcome::FirstWriteSignal;
-        (t, signal)
+    pub fn private_cache_write(mut tag: ElemTag) -> (ElemTag, bool) {
+        let signal = priv_cache_write(&mut tag);
+        (tag, signal)
     }
 
     /// The private-directory transition function of the privatization
     /// variant (stamped, Fig. 8).
     pub fn private_step(
-        elem: PrivPrivateElem,
+        mut elem: PrivPrivateElem,
         ev: PrivateEvent,
     ) -> (PrivPrivateElem, PrivateEffect) {
-        let mut e = elem;
         let effect = match ev {
-            PrivateEvent::ReadFirstSignal { iter } => {
-                e.on_read_first_signal(iter);
-                PrivateEffect::SignalReadFirst
-            }
+            PrivateEvent::ReadFirstSignal { iter } => elem.on_read_first_signal(iter),
             PrivateEvent::ReadMiss {
                 iter,
                 line_untouched,
-            } => match e.on_read_miss(iter, line_untouched) {
-                PrivateReadMissOutcome::ReadIn => PrivateEffect::TestReadFirst,
-                PrivateReadMissOutcome::ReadFirst => PrivateEffect::SignalReadFirst,
-                PrivateReadMissOutcome::Plain => PrivateEffect::None,
-            },
-            PrivateEvent::FirstWriteSignal { iter } => {
-                if e.on_first_write_signal(iter) {
-                    PrivateEffect::SignalFirstWrite
-                } else {
-                    PrivateEffect::None
-                }
-            }
+            } => elem.on_read_miss(iter, line_untouched),
+            PrivateEvent::FirstWriteSignal { iter } => elem.on_first_write_signal(iter),
             PrivateEvent::WriteMiss {
                 iter,
                 line_untouched,
-            } => match e.on_write_miss(iter, line_untouched) {
-                PrivateWriteMissOutcome::ReadInForWrite => PrivateEffect::TestFirstWrite,
-                PrivateWriteMissOutcome::NotifyShared => PrivateEffect::SignalFirstWrite,
-                PrivateWriteMissOutcome::Local => PrivateEffect::None,
-            },
+            } => elem.on_write_miss(iter, line_untouched),
         };
-        (e, effect)
+        (elem, effect)
     }
 
     /// The private-directory transition function of the reduced
-    /// no-read-in variant (Fig. 5-b bits).
+    /// no-read-in variant (Fig. 5-b bits): the new bits and whether a
+    /// read-first / first-write signal must go to the shared directory.
     pub fn private3_step(
-        elem: PrivNoReadInPrivate,
+        mut elem: PrivNoReadInPrivate,
         write: bool,
-    ) -> (PrivNoReadInPrivate, Result<NoReadInOutcome, FailReason>) {
-        let mut e = elem;
-        let r = if write { e.on_write() } else { e.on_read() };
-        (e, r)
+    ) -> (PrivNoReadInPrivate, Result<bool, FailReason>) {
+        let signal = if write {
+            Ok(elem.on_write())
+        } else {
+            elem.on_read()
+        };
+        (elem, signal)
     }
 }
 
@@ -693,11 +641,6 @@ impl ProtocolSpec {
 
     /// The initial (all-clear, empty-cache) state.
     pub fn init(&self) -> SpecState {
-        let elem = match self.variant {
-            SpecVariant::NonPriv => DirElem::NonPriv(NonPrivDirElem::default()),
-            SpecVariant::Priv => DirElem::Priv(PrivSharedElem::default()),
-            SpecVariant::Priv3 => DirElem::Priv3(PrivNoReadInShared::default()),
-        };
         let pdir_elem = match self.variant {
             SpecVariant::Priv => PrivateDirElem::Priv {
                 elem: PrivPrivateElem::default(),
@@ -710,7 +653,7 @@ impl ProtocolSpec {
             msg: FlightMsg::FirstUpdate { elem: 0 },
         };
         SpecState {
-            dir: InlineVec::filled(elem, self.scope.elems as usize),
+            dir: InlineVec::filled(DirElem::new(self.variant), self.scope.elems as usize),
             copies: InlineVec::filled(None, self.scope.procs as usize * self.scope.lines as usize),
             pdir: InlineVec::filled(pdir_elem, self.pdir_len()),
             inflight: InlineVec::filled(no_flight, 0),
@@ -914,10 +857,7 @@ impl ProtocolSpec {
         let range = self.scope.line_range(line);
         let mut tags = LineTags::cleared(range.len());
         for (off, e) in range.enumerate() {
-            *tags.get_mut(off) = match s.dir[e as usize] {
-                DirElem::NonPriv(d) => d.to_tag(ProcId(viewer as u32)),
-                _ => unreachable!("projection is a non-privatization concept"),
-            };
+            *tags.get_mut(off) = s.dir[e as usize].to_tag(ProcId(viewer as u32));
         }
         tags
     }
@@ -1303,7 +1243,7 @@ impl ProtocolSpec {
             let (e2, r) = ProtocolSpec::private3_step(e, write);
             s.pdir[pi] = PrivateDirElem::Priv3(e2);
             match r {
-                Ok(NoReadInOutcome::NotifyShared) => s.inflight.push(Flight {
+                Ok(true) => s.inflight.push(Flight {
                     src: proc,
                     msg: if write {
                         FlightMsg::FirstWrite { elem, iter: 1 }
@@ -1311,7 +1251,7 @@ impl ProtocolSpec {
                         FlightMsg::ReadFirst { elem, iter: 1 }
                     },
                 }),
-                Ok(NoReadInOutcome::Local) => {}
+                Ok(false) => {}
                 Err(reason) => self.fail(s, em, reason),
             }
         }
@@ -1338,16 +1278,16 @@ mod tests {
         let b = ProtocolSpec::dir_step(e, ev);
         assert_eq!(a, b, "two evaluations must agree");
         assert_eq!(
-            e.unwrap_nonpriv(),
-            NonPrivDirElem::default(),
-            "input moved, not mutated"
+            e,
+            DirElem::new(SpecVariant::NonPriv),
+            "input copied, not mutated"
         );
     }
 
     #[test]
     fn first_update_race_bounces() {
         let mut e = NonPrivDirElem::default();
-        e.on_first_update(ProcId(0)).unwrap();
+        e.on_first_update(ProcId(0));
         let (_, em) = ProtocolSpec::dir_step(
             DirElem::NonPriv(e),
             DirEvent::FirstUpdate { sender: ProcId(1) },
