@@ -1,7 +1,9 @@
-//! Golden JSONL traces of one minimized abort per protocol.
+//! Golden JSONL traces of one minimized abort per protocol, plus the
+//! non-privatization race that bounces instead of aborting.
 //!
-//! Two fixtures, both shrunk to a handful of accesses by the conformance
-//! harness's shrinker and pinned here as observable surfaces:
+//! The two abort fixtures were shrunk to a handful of accesses by the
+//! conformance harness's shrinker; all three are pinned here as
+//! observable surfaces:
 //!
 //! * **non-privatization, Fig. 7-f**: a `First_update` sent from a remote
 //!   reader races with a local write that reaches the home directory first
@@ -9,7 +11,13 @@
 //!   resolves the race by FAILing the speculation;
 //! * **privatization, Fig. 8-e**: an earlier iteration's first-write stamps
 //!   `MinW`, then a later iteration read-firsts the same element
-//!   (`MaxR1st > MinW` would be required) — a flow dependence, FAIL.
+//!   (`MaxR1st > MinW` would be required) — a flow dependence, FAIL;
+//! * **no-read-in privatization, §4.1** (hand-built): a processor
+//!   read-firsts an element it wrote in an earlier iteration, and its
+//!   private directory's `WriteAny` bit FAILs the read on the spot;
+//! * **non-privatization, Figs. 6-f/g** (hand-built, no abort): two
+//!   `First_update`s for one element, the later one bounced with a
+//!   `First_update_fail` — race case (f) begets (g).
 //!
 //! Like `trace_golden.rs`, timestamps and event order are fully
 //! deterministic; regenerate deliberately with
@@ -77,6 +85,40 @@ fn priv_read_first_after_write() -> Vec<specrt_trace::TraceEvent> {
     ms.take_event_trace()
 }
 
+/// §4.1's local test: cpu0 writes element 1 in iteration 1, which raises
+/// its private `WriteAny`, and reads it first in its next iteration. The
+/// line is still cached, so the hit's read-first signal reaches the
+/// private directory, which FAILs at once instead of forwarding it.
+fn priv3_read_first_after_own_write() -> Vec<specrt_trace::TraceEvent> {
+    let mut ms = system(ProtocolKind::Priv {
+        read_in: false,
+        copy_out: false,
+    });
+    ms.begin_iteration(P0, 0);
+    let now = ms.write(P0, A, 1, Cycles(0)).complete_at + Cycles(1);
+    ms.begin_iteration(P0, 1);
+    ms.read(P0, A, 1, now);
+    ms.drain_all_messages();
+    ms.take_event_trace()
+}
+
+/// Race (f) begetting (g): cpu1 and cpu0 each read-miss a different
+/// element of line 0, so both hold the line with element 2 still
+/// `First = NONE` in their tags. Both then hit-read element 2 and send a
+/// `First_update`. The directory takes the first to arrive as `First` and
+/// bounces the other with a `First_update_fail`, which marks the element
+/// read-shared in the loser's tag. Nobody wrote, so the loop passes.
+fn nonpriv_first_update_bounce() -> Vec<specrt_trace::TraceEvent> {
+    let mut ms = system(ProtocolKind::NonPriv);
+    let mut now = Cycles(0);
+    for (proc, idx) in [(P1, 0), (P0, 1), (P1, 2), (P0, 2)] {
+        now = ms.read(proc, A, idx, now).complete_at + Cycles(1);
+    }
+    ms.drain_all_messages();
+    assert_eq!(ms.failure(), None, "a bounced First_update does not abort");
+    ms.take_event_trace()
+}
+
 fn first_abort_reason(events: &[specrt_trace::TraceEvent]) -> Option<String> {
     events.iter().find_map(|e| match e {
         specrt_trace::TraceEvent::Abort { reason, .. } => Some(reason.clone()),
@@ -121,4 +163,35 @@ fn priv_fig8e_abort_matches_golden() {
         "expected the Fig. 8-e read-first-after-write failure, got: {reason}"
     );
     check_golden("abort_golden_priv", &jsonl(&events));
+}
+
+/// How many delivered messages of `kind` the trace holds.
+fn messages(events: &[specrt_trace::TraceEvent], kind: &str) -> usize {
+    events
+        .iter()
+        .filter(|e| matches!(e, specrt_trace::TraceEvent::Message { kind: k, .. } if *k == kind))
+        .count()
+}
+
+#[test]
+fn priv3_local_read_first_abort_matches_golden() {
+    let events = priv3_read_first_after_own_write();
+    assert!(first_abort_reason(&events).is_some(), "the read must abort");
+    assert_eq!(
+        messages(&events, "read-first signal"),
+        0,
+        "the FAIL is local: no read-first signal leaves the processor"
+    );
+    check_golden("abort_golden_priv3", &jsonl(&events));
+}
+
+#[test]
+fn nonpriv_first_update_bounce_matches_golden() {
+    let events = nonpriv_first_update_bounce();
+    assert_eq!(
+        messages(&events, "First_update_fail"),
+        1,
+        "exactly one First_update is bounced"
+    );
+    check_golden("bounce_golden_nonpriv", &jsonl(&events));
 }

@@ -32,7 +32,6 @@
 
 use specrt_machine::{MachineConfig, RecoveryPolicy, ScheduleKind};
 use specrt_proto::{NodeFaultKind, Topology};
-use specrt_spec::ProtocolKind;
 
 use crate::generate::{CaseSpec, Op};
 
@@ -671,7 +670,7 @@ pub fn hash_machine_config_into(h: &mut CanonHasher, cfg: &MachineConfig) {
 }
 
 /// Hashes a protocol-variant label (the serving layer's `protocol` request
-/// field, e.g. `"hw-nonpriv"`). A label, not the [`ProtocolKind`] enum,
+/// field, e.g. `"hw-nonpriv"`). A label, not the `ProtocolKind` enum,
 /// because one request protocol also selects live-value handling and the
 /// checked image set in `run_case`.
 pub fn hash_protocol_into(h: &mut CanonHasher, protocol: &str) {
@@ -690,26 +689,6 @@ pub fn canonical_key(case: &CaseSpec, cfg: &MachineConfig, protocol: &str) -> u6
     hash_machine_config_into(&mut h, cfg);
     hash_protocol_into(&mut h, protocol);
     h.finish()
-}
-
-/// Hashes a [`ProtocolKind`] when a key must distinguish raw protocol
-/// variants directly (used by config-sweep tooling rather than the serve
-/// wire path, which hashes the request label via [`hash_protocol_into`]).
-pub fn hash_protocol_kind_into(h: &mut CanonHasher, kind: ProtocolKind) {
-    h.write_str("protocol_kind");
-    match kind {
-        ProtocolKind::Plain => {
-            h.write_u64(0);
-        }
-        ProtocolKind::NonPriv => {
-            h.write_u64(1);
-        }
-        ProtocolKind::Priv { read_in, copy_out } => {
-            h.write_u64(2);
-            h.write_bool(read_in);
-            h.write_bool(copy_out);
-        }
-    }
 }
 
 #[cfg(test)]

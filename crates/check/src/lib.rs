@@ -47,8 +47,7 @@ pub use campaign::{
 };
 pub use canon::{
     canonical_key, case_from_json, case_to_json, hash_case_into, hash_machine_config_into,
-    hash_protocol_into, hash_protocol_kind_into, write_json_string, CanonHasher, Json,
-    CANON_VERSION,
+    hash_protocol_into, write_json_string, CanonHasher, Json, CANON_VERSION,
 };
 pub use diff::{node_fault_legs, run_case, CaseResult, Mismatch};
 pub use fuzz::{

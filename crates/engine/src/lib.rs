@@ -14,7 +14,7 @@
 //! * occupancy-based contention modelling ([`Resource`], [`BankedResource`]),
 //! * per-processor cycle accounting ([`TimeBreakdown`]) in the three
 //!   categories the paper reports (Busy / Sync / Mem, Figure 12),
-//! * statistics counters and histograms ([`Counter`], [`Histogram`]),
+//! * statistics counters and histograms ([`StatSet`], [`Histogram`]),
 //! * a dependency-free deterministic RNG ([`SplitMix64`]) for tie-breaking
 //!   and synthetic jitter.
 //!
@@ -43,5 +43,5 @@ pub mod time;
 pub use events::EventQueue;
 pub use resource::{BankedResource, Resource};
 pub use rng::SplitMix64;
-pub use stats::{Counter, Histogram, StatSet, TimeBreakdown};
+pub use stats::{Histogram, StatSet, TimeBreakdown};
 pub use time::Cycles;

@@ -116,46 +116,6 @@ impl fmt::Display for TimeBreakdown {
     }
 }
 
-/// A simple monotonic event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Increments by one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increments by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-
-    /// Resets to zero.
-    pub fn reset(&mut self) {
-        self.0 = 0;
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
 /// A power-of-two bucketed histogram for latency-like samples.
 ///
 /// Bucket `i` counts samples in `[2^i, 2^(i+1))`; bucket 0 counts 0 and 1.
@@ -399,16 +359,6 @@ mod tests {
         );
         // …but a large num balanced by a large den must not.
         assert_eq!(t.scaled(1 << 20, 1 << 20), t);
-    }
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        c.reset();
-        assert_eq!(c.get(), 0);
     }
 
     #[test]

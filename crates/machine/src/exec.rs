@@ -149,7 +149,6 @@ pub struct Executor<'a> {
     cfg: &'a MachineConfig,
     ms: &'a mut MemSystem,
     image: &'a mut dyn specrt_ir::MemOracle,
-    image_reader: fn(&mut dyn specrt_ir::MemOracle, ArrayId, u64) -> Scalar,
     programs: Vec<Program>,
     sched: &'a mut dyn Scheduler,
     route_priv: bool,
@@ -159,10 +158,6 @@ pub struct Executor<'a> {
     /// and keeps the dispatch allocation-free.
     copy_out_track: Vec<(ArrayId, ArrayId)>,
     start: Cycles,
-}
-
-fn default_reader(m: &mut dyn specrt_ir::MemOracle, arr: ArrayId, idx: u64) -> Scalar {
-    m.read(arr, idx)
 }
 
 impl<'a> Executor<'a> {
@@ -197,7 +192,6 @@ impl<'a> Executor<'a> {
             cfg,
             ms,
             image,
-            image_reader: default_reader,
             programs,
             sched,
             route_priv: false,
@@ -614,7 +608,7 @@ impl<'a> Executor<'a> {
             let out = self.ms.write(proc, op.arr, op.idx, t);
             if let Some(range) = out.read_in.clone() {
                 for e in range {
-                    let v = (self.image_reader)(self.image, op.arr, e);
+                    let v = self.image.read(op.arr, e);
                     self.image.write(phys, e, v);
                 }
             }
@@ -649,11 +643,11 @@ impl<'a> Executor<'a> {
             let out = self.ms.read(proc, op.arr, op.idx, t);
             if let Some(range) = out.read_in.clone() {
                 for e in range {
-                    let v = (self.image_reader)(self.image, op.arr, e);
+                    let v = self.image.read(op.arr, e);
                     self.image.write(phys, e, v);
                 }
             }
-            let value = (self.image_reader)(self.image, phys, op.idx);
+            let value = self.image.read(phys, op.idx);
             st.regs[op.dst.expect("load has a destination").0 as usize] = value;
             st.bd.busy += 1;
             let done = out.complete_at.max(t + Cycles(1));

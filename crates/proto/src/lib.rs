@@ -19,10 +19,12 @@
 //!   [`SharedDirStore`](bits::SharedDirStore) holds the shared directory's
 //!   [`DirElem`](specrt_spec::DirElem) state per element of each array
 //!   under test, written only through
-//!   [`ProtocolSpec::dir_step`](specrt_spec::ProtocolSpec::dir_step); the
-//!   private-directory stores hold each processor's
-//!   [`PrivPrivateElem`](specrt_spec::PrivPrivateElem) /
-//!   [`PrivNoReadInPrivate`](specrt_spec::PrivNoReadInPrivate) state;
+//!   [`ProtocolSpec::dir_step`](specrt_spec::ProtocolSpec::dir_step), and
+//!   one [`PrivateDirStore`](bits::PrivateDirStore) holds each
+//!   processor's private-directory
+//!   [`PrivateDirElem`](specrt_spec::PrivateDirElem)s, written only
+//!   through
+//!   [`ProtocolSpec::private_dir_step`](specrt_spec::ProtocolSpec::private_dir_step);
 //! * [`system`] — [`system::MemSystem`], the façade the machine
 //!   layer talks to: every simulated load/store enters here and comes back
 //!   with a completion time, possible read-in instructions, and possibly a

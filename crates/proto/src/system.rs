@@ -11,7 +11,6 @@
 
 use std::fmt::Write as _;
 use std::ops::Range;
-use std::sync::OnceLock;
 
 use specrt_cache::{CacheConfig, CacheHierarchy, ElemTag, HitLevel, LineState, LineTags, Victim};
 use specrt_engine::{BankedResource, Cycles, EventQueue, StatSet};
@@ -24,7 +23,7 @@ use specrt_spec::{
 };
 use specrt_trace::{HitKind, TraceEvent, Tracer};
 
-use crate::bits::{Priv3PrivateStore, PrivPrivateStore, SharedDirStore};
+use crate::bits::{PrivateDirStore, SharedDirStore};
 use crate::directory::{DirLineState, DirectoryNode, SharerSet};
 use crate::latency::LatencyConfig;
 
@@ -190,8 +189,7 @@ pub struct MemSystem {
     /// transaction-level golden traces.
     net_trace: bool,
     shared_dir: SharedDirStore,
-    priv_private: PrivPrivateStore,
-    priv3_private: Priv3PrivateStore,
+    private_dir: PrivateDirStore,
     /// Private-copy layouts, `(array, per-processor slots)`. A flat
     /// linear-scan structure, not a map: the lookup sits on the hot
     /// per-access path of every privatized protocol and a loop tests a
@@ -206,7 +204,6 @@ pub struct MemSystem {
     stats: StatSet,
     test_enabled: bool,
     stamp_base: u64,
-    trace_filter: Option<(u32, u64)>,
     tracer: Tracer,
     /// Scratch: queueing delay of the last directory transaction, read by
     /// the tracing path right after the dispatch that produced it.
@@ -228,17 +225,6 @@ pub struct MemSystem {
     /// `src * nodes + dst`: [`Self::deliver`] touches it for every
     /// asynchronous message, and node counts are small and fixed.
     msg_arrival: Vec<Cycles>,
-}
-
-/// The `SPECRT_TRACE=<array>,<element>` filter of [`MemSystem::trace`],
-/// read from the environment once per process.
-fn trace_filter() -> Option<(u32, u64)> {
-    static FILTER: OnceLock<Option<(u32, u64)>> = OnceLock::new();
-    *FILTER.get_or_init(|| {
-        let v = std::env::var("SPECRT_TRACE").ok()?;
-        let parts: Vec<u64> = v.split(',').filter_map(|x| x.parse().ok()).collect();
-        (parts.len() == 2).then(|| (parts[0] as u32, parts[1]))
-    })
 }
 
 impl MemSystem {
@@ -284,8 +270,7 @@ impl MemSystem {
             net: Network::new(cfg.net, cfg.procs, cfg.latency.net_oneway),
             net_trace: false,
             shared_dir: SharedDirStore::new(),
-            priv_private: PrivPrivateStore::new(),
-            priv3_private: Priv3PrivateStore::new(),
+            private_dir: PrivateDirStore::new(),
             private_layouts: Vec::new(),
             msgs: EventQueue::new(),
             failure: None,
@@ -298,7 +283,6 @@ impl MemSystem {
             last_case: None,
             cur_ctx: None,
             msg_arrival: vec![Cycles(0); procs * procs],
-            trace_filter: trace_filter(),
             cfg,
         }
     }
@@ -370,17 +354,12 @@ impl MemSystem {
                     );
                     self.private_layout_set(arr, proc, playout);
                 }
-                if variant == SpecVariant::Priv3 {
-                    self.priv3_private.register(arr, proc, layout.len);
-                } else {
-                    self.priv_private.register(arr, proc, layout.len);
-                }
+                self.private_dir.register(arr, proc, variant, layout.len);
             }
         }
         self.plan = plan;
         self.shared_dir.clear();
-        self.priv_private.clear();
-        self.priv3_private.clear();
+        self.private_dir.clear();
         // Hardware tag reset at loop start: every resident line gets fresh
         // access bits sized for the protocol it now runs under (lines may
         // have been cached by pre-loop phases under a different plan).
@@ -435,7 +414,7 @@ impl MemSystem {
             self.caches[proc.0 as usize].clear_iteration_bits();
             // Figure 5-b mode: the private directory's Read1st/Write bits
             // are "cleared at the beginning of each iteration" (§4.1).
-            self.priv3_private.clear_iteration_bits(proc);
+            self.private_dir.clear_iteration_bits(proc);
         }
     }
 
@@ -488,7 +467,7 @@ impl MemSystem {
         // directory that would have caught the conflict was just cleared.
         // The next access must re-run the read-in decision against the
         // committed shared data.
-        self.priv_private.clear();
+        self.private_dir.clear_stamps();
         for e in &mut self.cur_eff_iter {
             *e = 0;
         }
@@ -550,8 +529,7 @@ impl MemSystem {
         self.failure = None;
         self.stamp_base = 0;
         self.shared_dir.clear();
-        self.priv_private.clear();
-        self.priv3_private.clear();
+        self.private_dir.clear();
         for e in &mut self.cur_eff_iter {
             *e = 0;
         }
@@ -736,14 +714,6 @@ impl MemSystem {
             .fold((0, 0, 0), |(a, b, c), (x, y, z)| (a + x, b + y, c + z))
     }
 
-    /// For copy-out: the processor whose private copy holds the last write
-    /// of element `idx` of privatized array `arr`.
-    pub fn copy_out_winner(&self, arr: ArrayId, idx: u64) -> Option<ProcId> {
-        self.priv_private
-            .last_writer(arr, self.cfg.procs, idx)
-            .map(|(p, _)| p)
-    }
-
     // ------------------------------------------------------------------
     // Access entry points
     // ------------------------------------------------------------------
@@ -767,7 +737,6 @@ impl MemSystem {
         is_write: bool,
     ) -> AccessOutcome {
         let _prof = specrt_prof::scope("proto.access");
-        self.trace(proc, arr, idx, now, if is_write { "write" } else { "read" });
         self.drain_messages(now);
         let enabled = self.tracer.enabled();
         let (hit, pre) = if enabled {
@@ -906,22 +875,17 @@ impl MemSystem {
         let line = layout.addr_of(idx).line();
         let level = self.caches[proc.0 as usize].access(line);
         let complete_at = match (level, is_write) {
-            (HitLevel::L1, false) => now + Cycles(self.cfg.latency.l1_hit),
-            (HitLevel::L2, false) => now + Cycles(self.cfg.latency.l2_hit),
-            (HitLevel::Miss, false) => self.fetch_line(proc, line, false, LineTags::empty(), now),
+            (HitLevel::Miss, false) => {
+                self.fetch_line(proc, line, LineState::Clean, LineTags::empty(), now)
+            }
+            (_, false) => now + self.hit_latency(level),
             (_, true) => {
                 let dirty = self.caches[proc.0 as usize].state_of(line) == Some(LineState::Dirty);
                 match (level, dirty) {
                     (HitLevel::Miss, _) => {
-                        self.fetch_line(proc, line, true, LineTags::empty(), now)
+                        self.fetch_line(proc, line, LineState::Dirty, LineTags::empty(), now)
                     }
-                    (_, true) => {
-                        now + Cycles(if level == HitLevel::L1 {
-                            self.cfg.latency.l1_hit
-                        } else {
-                            self.cfg.latency.l2_hit
-                        })
-                    }
+                    (_, true) => now + self.hit_latency(level),
                     (_, false) => self.upgrade_line(proc, line, LineTags::empty(), now),
                 }
             }
@@ -942,9 +906,10 @@ impl MemSystem {
     // The memory system contributes only the *executor* concerns (timing,
     // NUMA homes, cache geometry, message transport); the race-case logic
     // itself is the same transition function `specrt-check model`
-    // enumerates. Shared-directory state lives in a [`SharedDirStore`]
-    // whose only element writer is [`SharedDirStore::step`], so no
-    // transition can bypass [`ProtocolSpec::dir_step`].
+    // enumerates. Directory state lives in a [`SharedDirStore`] and a
+    // [`PrivateDirStore`], whose only element writers are their `step`s, so
+    // no transition can bypass [`ProtocolSpec::dir_step`] or
+    // [`ProtocolSpec::private_dir_step`].
 
     /// Runs [`ProtocolSpec::dir_step`] at one shared-directory element for
     /// events whose only possible emission is a FAIL (every directory
@@ -955,39 +920,6 @@ impl MemSystem {
             Some(DirEmission::Fail(reason)) => Err(reason),
             Some(em) => unreachable!("directory event {ev:?} emitted {em:?}"),
         }
-    }
-
-    /// Runs [`ProtocolSpec::private_step`] at one element of `proc`'s
-    /// stamped private directory (which also marks it touched, feeding the
-    /// line-granularity read-in test).
-    fn spec_private_step(
-        &mut self,
-        arr: ArrayId,
-        proc: ProcId,
-        idx: u64,
-        ev: PrivateEvent,
-    ) -> PrivateEffect {
-        let cur = *self.priv_private.elem(arr, proc, idx);
-        let (next, effect) = ProtocolSpec::private_step(cur, ev);
-        *self.priv_private.elem_mut(arr, proc, idx) = next;
-        self.priv_private.mark_touched(arr, proc, idx);
-        effect
-    }
-
-    /// Runs [`ProtocolSpec::private3_step`] at one element of `proc`'s
-    /// no-read-in private directory, returning whether the shared
-    /// directory must be signalled.
-    fn spec_priv3_step(
-        &mut self,
-        arr: ArrayId,
-        proc: ProcId,
-        idx: u64,
-        write: bool,
-    ) -> Result<bool, FailReason> {
-        let cur = *self.priv3_private.elem(arr, proc, idx);
-        let (next, signal) = ProtocolSpec::private3_step(cur, write);
-        self.priv3_private.set(arr, proc, idx, next);
-        signal
     }
 
     // ------------------------------------------------------------------
@@ -1001,12 +933,7 @@ impl MemSystem {
         let home = self.numa.home_of(addr);
         let level = self.caches[proc.0 as usize].access(line);
         let complete_at = if level != HitLevel::Miss {
-            let latency = if level == HitLevel::L1 {
-                self.cfg.latency.l1_hit
-            } else {
-                self.cfg.latency.l2_hit
-            };
-            let done = now + Cycles(latency);
+            let done = now + self.hit_latency(level);
             let dirty = self.caches[proc.0 as usize].state_of(line) == Some(LineState::Dirty);
             let offset = self.elem_offset(&layout, line, idx);
             self.stats.incr("race_case_a");
@@ -1083,18 +1010,14 @@ impl MemSystem {
         let complete_at = if level != HitLevel::Miss {
             let dirty = self.caches[proc.0 as usize].state_of(line) == Some(LineState::Dirty);
             let offset = self.elem_offset(&layout, line, idx);
-            let hit_latency = if level == HitLevel::L1 {
-                self.cfg.latency.l1_hit
-            } else {
-                self.cfg.latency.l2_hit
-            };
+            let hit_done = now + self.hit_latency(level);
             self.stats.incr("race_case_c");
             let tags = self.caches[proc.0 as usize]
                 .tags_mut(line)
                 .expect("resident line has tags");
             let tag = tags.get_mut(offset);
             match spec_cache_step(tag, dirty, CacheEvent::Write { writer: proc }) {
-                None => now + Cycles(hit_latency),
+                None => hit_done,
                 Some(CacheEmission::NeedWriteReq) => {
                     // Upgrade: the directory runs the authoritative test and
                     // the grant refreshes the whole line's tags.
@@ -1113,8 +1036,8 @@ impl MemSystem {
                     self.upgrade_line(proc, line, tags, now)
                 }
                 Some(CacheEmission::Fail(reason)) => {
-                    self.fail(reason, now + Cycles(hit_latency));
-                    now + Cycles(hit_latency)
+                    self.fail(reason, hit_done);
+                    hit_done
                 }
                 Some(em) => unreachable!("write emitted {em:?}"),
             }
@@ -1176,11 +1099,6 @@ impl MemSystem {
         let line = playout.addr_of(idx).line();
         let level = self.caches[proc.0 as usize].access(line);
         if level != HitLevel::Miss {
-            let latency = if level == HitLevel::L1 {
-                self.cfg.latency.l1_hit
-            } else {
-                self.cfg.latency.l2_hit
-            };
             let offset = self.elem_offset(&playout, line, idx);
             let tags = self.caches[proc.0 as usize]
                 .tags_mut(line)
@@ -1189,7 +1107,7 @@ impl MemSystem {
                 self.stats.incr("priv_read_first_signals");
                 // Private directory is local: update synchronously, then
                 // forward the read-first signal to the shared home.
-                let effect = self.spec_private_step(
+                let effect = self.private_dir.step(
                     arr,
                     proc,
                     idx,
@@ -1199,7 +1117,7 @@ impl MemSystem {
                 self.forward_read_first(proc, arr, idx, eff, now);
             }
             return AccessOutcome {
-                complete_at: now + Cycles(latency),
+                complete_at: now + self.hit_latency(level),
                 read_in: None,
             };
         }
@@ -1207,8 +1125,8 @@ impl MemSystem {
         // and a plain refill (algorithm (c)).
         self.last_case = Some("c");
         let range = playout.elems_on_line(line).expect("line within array");
-        let untouched = self.priv_private.line_untouched(arr, proc, range.clone());
-        let effect = self.spec_private_step(
+        let untouched = self.private_dir.line_untouched(arr, proc, range.clone());
+        let effect = self.private_dir.step(
             arr,
             proc,
             idx,
@@ -1218,7 +1136,8 @@ impl MemSystem {
             },
         );
         let mut read_in = None;
-        let mut complete_at = self.fill_private_line(proc, arr, &playout, line, false, now);
+        let tags = self.private_line_tags(proc, arr, &playout, line, None);
+        let mut complete_at = self.fetch_line(proc, line, LineState::Clean, tags, now);
         match effect {
             PrivateEffect::TestReadFirst => {
                 self.stats.incr("priv_read_ins");
@@ -1255,17 +1174,12 @@ impl MemSystem {
         if level != HitLevel::Miss {
             let dirty = self.caches[proc.0 as usize].state_of(line) == Some(LineState::Dirty);
             let offset = self.elem_offset(&playout, line, idx);
-            let hit_latency = if level == HitLevel::L1 {
-                self.cfg.latency.l1_hit
-            } else {
-                self.cfg.latency.l2_hit
-            };
             let tags = self.caches[proc.0 as usize]
                 .tags_mut(line)
                 .expect("resident private line has tags");
             if spec_private_cache(tags.get_mut(offset), true) {
                 self.stats.incr("priv_first_write_signals");
-                let effect = self.spec_private_step(
+                let effect = self.private_dir.step(
                     arr,
                     proc,
                     idx,
@@ -1276,11 +1190,10 @@ impl MemSystem {
                 }
             }
             let complete_at = if dirty {
-                now + Cycles(hit_latency)
+                now + self.hit_latency(level)
             } else {
                 // Local upgrade of the private line.
-                let mut tags = self.private_tags(arr, proc, &playout, line, eff);
-                tags.get_mut(offset).set_write(true);
+                let tags = self.private_line_tags(proc, arr, &playout, line, Some(offset));
                 self.upgrade_line(proc, line, tags, now)
             };
             return AccessOutcome {
@@ -1291,8 +1204,8 @@ impl MemSystem {
         // Miss (algorithm (h)).
         self.last_case = Some("h");
         let range = playout.elems_on_line(line).expect("line within array");
-        let untouched = self.priv_private.line_untouched(arr, proc, range.clone());
-        let effect = self.spec_private_step(
+        let untouched = self.private_dir.line_untouched(arr, proc, range.clone());
+        let effect = self.private_dir.step(
             arr,
             proc,
             idx,
@@ -1302,7 +1215,8 @@ impl MemSystem {
             },
         );
         let mut read_in = None;
-        let mut complete_at = self.fill_private_line(proc, arr, &playout, line, true, now);
+        let tags = self.private_line_tags(proc, arr, &playout, line, None);
+        let mut complete_at = self.fetch_line(proc, line, LineState::Dirty, tags, now);
         match effect {
             PrivateEffect::TestFirstWrite => {
                 self.stats.incr("priv_read_ins");
@@ -1335,39 +1249,26 @@ impl MemSystem {
     // ------------------------------------------------------------------
 
     fn priv3_read(&mut self, proc: ProcId, arr: ArrayId, idx: u64, now: Cycles) -> AccessOutcome {
-        let _ = self.effective_iter(proc); // assert we are inside an iteration
+        let eff = self.effective_iter(proc);
         let playout = self.private_layout(arr, proc);
         let line = playout.addr_of(idx).line();
         let level = self.caches[proc.0 as usize].access(line);
-        let hit = level != HitLevel::Miss;
-        let latency = match level {
-            HitLevel::L1 => self.cfg.latency.l1_hit,
-            HitLevel::L2 => self.cfg.latency.l2_hit,
-            HitLevel::Miss => 0,
-        };
-        let signal = if hit {
+        let (signal, complete_at) = if level != HitLevel::Miss {
             let offset = self.elem_offset(&playout, line, idx);
             let tags = self.caches[proc.0 as usize]
                 .tags_mut(line)
                 .expect("resident private line has tags");
-            spec_private_cache(tags.get_mut(offset), false)
+            let signal = spec_private_cache(tags.get_mut(offset), false);
+            (signal, now + self.hit_latency(level))
         } else {
-            true // the private directory decides below
+            // The private directory decides below.
+            let tags = self.private_line_tags(proc, arr, &playout, line, None);
+            let done = self.fetch_line(proc, line, LineState::Clean, tags, now);
+            (true, done)
         };
-        let mut complete_at = now + Cycles(latency);
-        if !hit {
-            let tags = self.priv3_tags(arr, proc, &playout, line);
-            complete_at = self.fetch_line_with_state(proc, line, LineState::Clean, tags, now);
-        }
         if signal {
-            match self.spec_priv3_step(arr, proc, idx, false) {
-                Ok(true) => {
-                    self.stats.incr("priv_read_first_signals");
-                    self.forward_read_first(proc, arr, idx, 1, now);
-                }
-                Ok(false) => {}
-                Err(reason) => self.fail(reason, now),
-            }
+            let ev = PrivateEvent::ReadFirstSignal { iter: eff };
+            self.priv3_signal(proc, arr, idx, ev, now);
         }
         AccessOutcome {
             complete_at,
@@ -1376,50 +1277,30 @@ impl MemSystem {
     }
 
     fn priv3_write(&mut self, proc: ProcId, arr: ArrayId, idx: u64, now: Cycles) -> AccessOutcome {
-        let _ = self.effective_iter(proc);
+        let eff = self.effective_iter(proc);
         let playout = self.private_layout(arr, proc);
         let line = playout.addr_of(idx).line();
         let level = self.caches[proc.0 as usize].access(line);
-        let hit = level != HitLevel::Miss;
-        let signal = if hit {
-            let offset = self.elem_offset(&playout, line, idx);
+        let offset = self.elem_offset(&playout, line, idx);
+        let (signal, complete_at) = if level != HitLevel::Miss {
             let tags = self.caches[proc.0 as usize]
                 .tags_mut(line)
                 .expect("resident private line has tags");
-            spec_private_cache(tags.get_mut(offset), true)
-        } else {
-            true
-        };
-        let complete_at = if hit {
-            let dirty = self.caches[proc.0 as usize].state_of(line) == Some(LineState::Dirty);
-            let hit_latency = if level == HitLevel::L1 {
-                self.cfg.latency.l1_hit
+            let signal = spec_private_cache(tags.get_mut(offset), true);
+            if self.caches[proc.0 as usize].state_of(line) == Some(LineState::Dirty) {
+                (signal, now + self.hit_latency(level))
             } else {
-                self.cfg.latency.l2_hit
-            };
-            if dirty {
-                now + Cycles(hit_latency)
-            } else {
-                let mut tags = self.priv3_tags(arr, proc, &playout, line);
-                let offset = self.elem_offset(&playout, line, idx);
-                tags.get_mut(offset).set_write(true);
-                self.upgrade_line(proc, line, tags, now)
+                let tags = self.private_line_tags(proc, arr, &playout, line, Some(offset));
+                (signal, self.upgrade_line(proc, line, tags, now))
             }
         } else {
-            let mut tags = self.priv3_tags(arr, proc, &playout, line);
-            let offset = self.elem_offset(&playout, line, idx);
-            tags.get_mut(offset).set_write(true);
-            self.fetch_line_with_state(proc, line, LineState::Dirty, tags, now)
+            let tags = self.private_line_tags(proc, arr, &playout, line, Some(offset));
+            let done = self.fetch_line(proc, line, LineState::Dirty, tags, now);
+            (true, done)
         };
         if signal {
-            match self.spec_priv3_step(arr, proc, idx, true) {
-                Ok(true) => {
-                    self.stats.incr("priv_first_write_signals");
-                    self.forward_first_write(proc, arr, idx, 1, now);
-                }
-                Ok(false) => {}
-                Err(reason) => self.fail(reason, now),
-            }
+            let ev = PrivateEvent::FirstWriteSignal { iter: eff };
+            self.priv3_signal(proc, arr, idx, ev, now);
         }
         AccessOutcome {
             complete_at,
@@ -1427,28 +1308,59 @@ impl MemSystem {
         }
     }
 
-    /// Refill tags for a no-read-in private line, reconstructed from the
-    /// private directory bits.
-    fn priv3_tags(
-        &self,
-        arr: ArrayId,
+    /// Runs a no-read-in access's private-directory step and forwards the
+    /// signal it asks for (with stamp 1: the shared bits ignore stamps).
+    fn priv3_signal(
+        &mut self,
         proc: ProcId,
+        arr: ArrayId,
+        idx: u64,
+        ev: PrivateEvent,
+        now: Cycles,
+    ) {
+        match self.private_dir.step(arr, proc, idx, ev) {
+            PrivateEffect::None => {}
+            PrivateEffect::SignalReadFirst => {
+                self.stats.incr("priv_read_first_signals");
+                self.forward_read_first(proc, arr, idx, 1, now);
+            }
+            PrivateEffect::SignalFirstWrite => {
+                self.stats.incr("priv_first_write_signals");
+                self.forward_first_write(proc, arr, idx, 1, now);
+            }
+            PrivateEffect::Fail(reason) => self.fail(reason, now),
+            effect => unreachable!("no-read-in signal produced {effect:?}"),
+        }
+    }
+
+    /// Refill tags for `proc`'s private `line`, projected from its private
+    /// directory in the current iteration, with `Write` also set at
+    /// `write_at` (a write the private directory has not seen yet).
+    fn private_line_tags(
+        &self,
+        proc: ProcId,
+        arr: ArrayId,
         playout: &ArrayLayout,
         line: LineAddr,
+        write_at: Option<usize>,
     ) -> LineTags {
         let range = playout.elems_on_line(line).expect("line within array");
-        let mut tags = LineTags::cleared((range.end - range.start) as usize);
-        for (i, idx) in range.clone().enumerate() {
-            let e = self.priv3_private.elem(arr, proc, idx);
-            let t = tags.get_mut(i);
-            if e.write {
-                t.set_write(true);
-            }
-            if e.read1st {
-                t.set_read1st(true);
-            }
+        let eff = self.cur_eff_iter[proc.0 as usize];
+        let mut tags = self.private_dir.line_tags(arr, proc, range, eff);
+        if let Some(off) = write_at {
+            tags.get_mut(off).set_write(true);
         }
         tags
+    }
+
+    /// Latency of a cache hit at `level` (zero for a miss, which the fetch
+    /// transaction charges).
+    fn hit_latency(&self, level: HitLevel) -> Cycles {
+        Cycles(match level {
+            HitLevel::L1 => self.cfg.latency.l1_hit,
+            HitLevel::L2 => self.cfg.latency.l2_hit,
+            HitLevel::Miss => 0,
+        })
     }
 
     fn effective_iter(&self, proc: ProcId) -> u64 {
@@ -1487,33 +1399,6 @@ impl MemSystem {
             }
         };
         per_proc[proc.0 as usize] = Some(layout);
-    }
-
-    /// Tags for a refilled private line, reconstructed from the private
-    /// directory stamps: bits are set for elements already read-first or
-    /// written *in the current effective iteration*, so refills after an
-    /// eviction do not re-signal.
-    fn private_tags(
-        &self,
-        arr: ArrayId,
-        proc: ProcId,
-        playout: &ArrayLayout,
-        line: LineAddr,
-        eff: u64,
-    ) -> LineTags {
-        let range = playout.elems_on_line(line).expect("line within array");
-        let mut tags = LineTags::cleared((range.end - range.start) as usize);
-        for (i, idx) in range.clone().enumerate() {
-            let e = self.priv_private.elem(arr, proc, idx);
-            let t = tags.get_mut(i);
-            if e.pmax_w == eff {
-                t.set_write(true);
-            }
-            if e.pmax_r1st == eff {
-                t.set_read1st(true);
-            }
-        }
-        tags
     }
 
     fn forward_read_first(&mut self, proc: ProcId, arr: ArrayId, idx: u64, eff: u64, now: Cycles) {
@@ -1565,41 +1450,10 @@ impl MemSystem {
         idx: u64,
         now: Cycles,
     ) -> Cycles {
-        let layout = self.layout(arr);
-        let addr = layout.addr_of(idx);
+        let addr = self.layout(arr).addr_of(idx);
         let home = self.numa.home_of(addr);
-        let lat = self.cfg.latency;
-        let req = self.route(proc.node(), home, now);
-        let end = self.dir_banks[home.0 as usize].acquire(
-            addr.line().0,
-            req.arrive,
-            Cycles(lat.mem_service),
-        );
-        let queue = end
-            .saturating_sub(req.arrive)
-            .saturating_sub(Cycles(lat.mem_service));
-        self.last_queue = queue;
-        let base = lat.miss_base(proc.node(), home);
-        self.finish_round_trip(proc.node(), home, now, req, end, base + queue) - now
-    }
-
-    /// Fills a private-copy line (always homed locally).
-    fn fill_private_line(
-        &mut self,
-        proc: ProcId,
-        arr: ArrayId,
-        playout: &ArrayLayout,
-        line: LineAddr,
-        as_dirty: bool,
-        now: Cycles,
-    ) -> Cycles {
-        let eff = self.cur_eff_iter[proc.0 as usize];
-        let tags = self.private_tags(arr, proc, playout, line, eff);
-        if as_dirty {
-            self.fetch_line_with_state(proc, line, LineState::Dirty, tags, now)
-        } else {
-            self.fetch_line_with_state(proc, line, LineState::Clean, tags, now)
-        }
+        let base = self.cfg.latency.miss_base(proc.node(), home);
+        self.round_trip(proc, home, addr.line(), now, |_| base) - now
     }
 
     // ------------------------------------------------------------------
@@ -1624,26 +1478,34 @@ impl MemSystem {
         d
     }
 
-    /// Completes a calibrated round trip whose request (`req`, sent at
-    /// `now`) was served by the home directory until `bank_end`: sends the
-    /// reply leg and folds whatever latency the interconnect added *beyond
-    /// its calibrated share* into `cost` (the unloaded base plus bank
-    /// queueing). On an unloaded flat network both legs cost exactly the
+    /// One calibrated round trip from `proc` to `home` about `line`, sent
+    /// at `now`: routes the request, serializes it at the home's directory
+    /// bank for one memory service, runs `serve` while the bank holds the
+    /// line (it returns the unloaded base latency), and routes the reply.
+    /// Returns the completion time: `now` plus the base, the bank queueing
+    /// and whatever latency the interconnect added *beyond its calibrated
+    /// share*. On an unloaded flat network both legs cost exactly the
     /// calibrated `travel()`, the correction is zero, and the result is
-    /// bit-identical to the seed's `now + cost`.
-    fn finish_round_trip(
+    /// bit-identical to the seed's `now + base + queue`.
+    fn round_trip(
         &mut self,
-        src: NodeId,
+        proc: ProcId,
         home: NodeId,
+        line: LineAddr,
         now: Cycles,
-        req: Delivery,
-        bank_end: Cycles,
-        cost: Cycles,
+        serve: impl FnOnce(&mut Self) -> Cycles,
     ) -> Cycles {
+        let src = proc.node();
+        let service = Cycles(self.cfg.latency.mem_service);
+        let req = self.route(src, home, now);
+        let bank_end = self.dir_banks[home.0 as usize].acquire(line.0, req.arrive, service);
+        let queue = bank_end.saturating_sub(req.arrive).saturating_sub(service);
+        self.last_queue = queue;
+        let base = serve(self);
         let rep = self.route(home, src, bank_end);
         let legs_actual = (req.arrive - now) + (rep.arrive - bank_end);
         let legs_calib = self.cfg.latency.travel(src, home) + self.cfg.latency.travel(home, src);
-        now + (cost + legs_actual).saturating_sub(legs_calib)
+        now + (base + queue + legs_actual).saturating_sub(legs_calib)
     }
 
     // ------------------------------------------------------------------
@@ -1651,24 +1513,8 @@ impl MemSystem {
     // ------------------------------------------------------------------
 
     /// Runs a full fetch transaction for `line` on behalf of `proc` and
-    /// fills the cache. Returns the completion time.
+    /// fills the cache in `state`. Returns the completion time.
     fn fetch_line(
-        &mut self,
-        proc: ProcId,
-        line: LineAddr,
-        exclusive: bool,
-        tags: LineTags,
-        now: Cycles,
-    ) -> Cycles {
-        let state = if exclusive {
-            LineState::Dirty
-        } else {
-            LineState::Clean
-        };
-        self.fetch_line_with_state(proc, line, state, tags, now)
-    }
-
-    fn fetch_line_with_state(
         &mut self,
         proc: ProcId,
         line: LineAddr,
@@ -1700,67 +1546,63 @@ impl MemSystem {
     ) -> Cycles {
         self.stats.incr("transactions");
         let home = self.numa.home_of(line.base());
-        let lat = self.cfg.latency;
-        let req = self.route(proc.node(), home, now);
-        let end =
-            self.dir_banks[home.0 as usize].acquire(line.0, req.arrive, Cycles(lat.mem_service));
-        let queue = end
-            .saturating_sub(req.arrive)
-            .saturating_sub(Cycles(lat.mem_service));
-        self.last_queue = queue;
-
-        let dir_state = self.dirs[home.0 as usize].state(line);
-        let mut base = lat.miss_base(proc.node(), home);
-        match dir_state {
-            DirLineState::Uncached => {}
-            DirLineState::Shared(sharers) => {
-                if exclusive {
-                    // Invalidate all sharers.
-                    let mut any_remote = false;
-                    for s in sharers.iter() {
-                        if s != proc {
-                            self.stats.incr("invalidations");
-                            self.invalidate_at_cache(s, line);
-                            if s.node() != home {
-                                any_remote = true;
+        self.round_trip(proc, home, line, now, |this| {
+            let lat = this.cfg.latency;
+            let dir_state = this.dirs[home.0 as usize].state(line);
+            let mut base = lat.miss_base(proc.node(), home);
+            match dir_state {
+                DirLineState::Uncached => {}
+                DirLineState::Shared(sharers) => {
+                    if exclusive {
+                        // Invalidate all sharers.
+                        let mut any_remote = false;
+                        for s in sharers.iter() {
+                            if s != proc {
+                                this.stats.incr("invalidations");
+                                this.invalidate_at_cache(s, line);
+                                if s.node() != home {
+                                    any_remote = true;
+                                }
                             }
                         }
+                        if any_remote {
+                            base += Cycles(lat.invalidate_extra);
+                        }
                     }
-                    if any_remote {
-                        base += Cycles(lat.invalidate_extra);
+                }
+                DirLineState::Dirty(owner) => {
+                    debug_assert_ne!(owner, proc, "requester cannot own a missing line");
+                    base = lat.miss_with_owner(proc.node(), home, owner.node());
+                    this.stats.incr("owner_fetches");
+                    if !exclusive && this.cfg.dirty_read_downgrades {
+                        // Sharing write-back (classic DASH): the owner keeps
+                        // a clean copy; its tags stay valid from its
+                        // viewpoint.
+                        let owner_tags = this.caches[owner.0 as usize]
+                            .tags_of(line)
+                            .cloned()
+                            .unwrap_or_else(LineTags::empty);
+                        this.merge_tags_into_dir(owner, line, &owner_tags, now);
+                        this.caches[owner.0 as usize].mark_clean(line);
+                        this.dirs[home.0 as usize]
+                            .downgrade_to_shared(line, SharerSet::single(owner));
+                    } else {
+                        // Invalidate-on-fetch: the owner writes back and
+                        // drops its copy; merge its tags into the directory.
+                        let (_, owner_tags) = this.caches[owner.0 as usize]
+                            .invalidate(line)
+                            .expect("directory says owner holds the line");
+                        this.merge_tags_into_dir(owner, line, &owner_tags, now);
+                        this.dirs[home.0 as usize].writeback_to_uncached(line, owner);
                     }
                 }
             }
-            DirLineState::Dirty(owner) => {
-                debug_assert_ne!(owner, proc, "requester cannot own a missing line");
-                base = lat.miss_with_owner(proc.node(), home, owner.node());
-                self.stats.incr("owner_fetches");
-                if !exclusive && self.cfg.dirty_read_downgrades {
-                    // Sharing write-back (classic DASH): the owner keeps a
-                    // clean copy; its tags stay valid from its viewpoint.
-                    let owner_tags = self.caches[owner.0 as usize]
-                        .tags_of(line)
-                        .cloned()
-                        .unwrap_or_else(LineTags::empty);
-                    self.merge_tags_into_dir(owner, line, &owner_tags, now);
-                    self.caches[owner.0 as usize].mark_clean(line);
-                    self.dirs[home.0 as usize].downgrade_to_shared(line, SharerSet::single(owner));
-                } else {
-                    // Invalidate-on-fetch: the owner writes back and drops
-                    // its copy; merge its tags into the directory.
-                    let (_, owner_tags) = self.caches[owner.0 as usize]
-                        .invalidate(line)
-                        .expect("directory says owner holds the line");
-                    self.merge_tags_into_dir(owner, line, &owner_tags, now);
-                    self.dirs[home.0 as usize].writeback_to_uncached(line, owner);
-                }
+            match exclusive {
+                true => this.dirs[home.0 as usize].set_dirty(line, proc),
+                false => this.dirs[home.0 as usize].add_sharer(line, proc),
             }
-        }
-        match exclusive {
-            true => self.dirs[home.0 as usize].set_dirty(line, proc),
-            false => self.dirs[home.0 as usize].add_sharer(line, proc),
-        }
-        self.finish_round_trip(proc.node(), home, now, req, end, base + queue)
+            base
+        })
     }
 
     /// The cache-side half of a fetch: fills the line (with the reply's
@@ -1790,35 +1632,29 @@ impl MemSystem {
     ) -> Cycles {
         self.stats.incr("upgrades");
         let home = self.numa.home_of(line.base());
-        let lat = self.cfg.latency;
-        let req = self.route(proc.node(), home, now);
-        let end =
-            self.dir_banks[home.0 as usize].acquire(line.0, req.arrive, Cycles(lat.mem_service));
-        let queue = end
-            .saturating_sub(req.arrive)
-            .saturating_sub(Cycles(lat.mem_service));
-        self.last_queue = queue;
-        let mut base = lat.miss_base(proc.node(), home);
-
-        let dir_state = self.dirs[home.0 as usize].state(line);
-        let mut any_remote = false;
-        for s in dir_state.sharers() {
-            if s != proc {
-                self.stats.incr("invalidations");
-                self.invalidate_at_cache(s, line);
-                if s.node() != home {
-                    any_remote = true;
+        self.round_trip(proc, home, line, now, |this| {
+            let lat = this.cfg.latency;
+            let mut base = lat.miss_base(proc.node(), home);
+            let dir_state = this.dirs[home.0 as usize].state(line);
+            let mut any_remote = false;
+            for s in dir_state.sharers() {
+                if s != proc {
+                    this.stats.incr("invalidations");
+                    this.invalidate_at_cache(s, line);
+                    if s.node() != home {
+                        any_remote = true;
+                    }
                 }
             }
-        }
-        if any_remote {
-            base += Cycles(lat.invalidate_extra);
-        }
-        self.dirs[home.0 as usize].set_dirty(line, proc);
-        let cache = &mut self.caches[proc.0 as usize];
-        cache.mark_dirty(line);
-        cache.set_tags(line, new_tags);
-        self.finish_round_trip(proc.node(), home, now, req, end, base + queue)
+            if any_remote {
+                base += Cycles(lat.invalidate_extra);
+            }
+            this.dirs[home.0 as usize].set_dirty(line, proc);
+            let cache = &mut this.caches[proc.0 as usize];
+            cache.mark_dirty(line);
+            cache.set_tags(line, new_tags);
+            base
+        })
     }
 
     /// Invalidation at a sharer's cache. Clean lines drop their tags: any
@@ -1962,80 +1798,68 @@ impl MemSystem {
             // message-rate draw. The check is stateless (no RNG), so a
             // config without a node fault keeps its decision stream — and
             // its timings — bit-for-bit.
-            if let Some(suspect) = self.net.node_fault_blocks(from, to, send_at) {
+            let exhausted = if let Some(suspect) = self.net.node_fault_blocks(from, to, send_at) {
                 self.stats.incr("fault.node.dropped");
                 self.emit_node_fault(send_at, from, to, suspect, attempt);
-                // The swallowed copy still occupied links up to the fault.
-                let _ = self.route(from, to, send_at);
-                let wait = Cycles(retry.timeout.checked_shl(attempt).unwrap_or(u64::MAX));
-                if attempt >= retry.max_retries {
-                    // Every retransmission vanished into the same silent
-                    // node: escalate past "a message was lost" to "the
-                    // node is gone".
-                    self.stats.incr("retry.exhausted");
-                    self.stats.incr("fault.node.unreachable");
-                    self.fail(
-                        FailReason::NodeUnreachable {
-                            node: ProcId(suspect),
-                        },
-                        send_at + wait,
-                    );
-                    return;
+                // Every retransmission vanishing into the same silent node
+                // escalates past "a message was lost" to "the node is gone".
+                FailReason::NodeUnreachable {
+                    node: ProcId(suspect),
                 }
-                self.stats.incr("retry.resends");
-                send_at += wait;
-                attempt += 1;
-                continue;
-            }
-            match self.net.fault_decide() {
-                FaultAction::Deliver => {
-                    let arrive = self.route(from, to, send_at).arrive + Cycles(1);
-                    self.deliver(from, to, arrive, msg);
-                    return;
-                }
-                FaultAction::Delay(extra) => {
-                    self.stats.incr("fault.delayed");
-                    self.emit_fault(send_at, from, to, "delay", attempt);
-                    let arrive = self.route(from, to, send_at).arrive + Cycles(1) + Cycles(extra);
-                    self.deliver(from, to, arrive, msg);
-                    return;
-                }
-                FaultAction::Duplicate => {
-                    self.stats.incr("fault.duplicated");
-                    self.emit_fault(send_at, from, to, "duplicate", attempt);
-                    // Both copies take a real trip through the routing
-                    // layer; the directory's replay is idempotent, so the
-                    // straggler serializes like any raced update.
-                    let first = self.route(from, to, send_at).arrive + Cycles(1);
-                    let second = self.route(from, to, send_at).arrive + Cycles(1);
-                    self.deliver(from, to, first, msg.clone());
-                    self.deliver(from, to, second, msg);
-                    return;
-                }
-                FaultAction::Drop => {
-                    self.stats.incr("fault.dropped");
-                    self.emit_fault(send_at, from, to, "drop", attempt);
-                    // The lost copy still occupied links before vanishing.
-                    let _ = self.route(from, to, send_at);
-                    let wait = Cycles(retry.timeout.checked_shl(attempt).unwrap_or(u64::MAX));
-                    if attempt >= retry.max_retries {
-                        // Watchdog exhausted: the dependence test can no
-                        // longer be trusted — escalate into the paper's
-                        // abort/restore/serial safety net.
-                        self.stats.incr("retry.exhausted");
-                        self.fail(
-                            FailReason::MessageLost {
-                                attempts: attempt + 1,
-                            },
-                            send_at + wait,
-                        );
+            } else {
+                match self.net.fault_decide() {
+                    FaultAction::Deliver => {
+                        let arrive = self.route(from, to, send_at).arrive + Cycles(1);
+                        self.deliver(from, to, arrive, msg);
                         return;
                     }
-                    self.stats.incr("retry.resends");
-                    send_at += wait;
-                    attempt += 1;
+                    FaultAction::Delay(extra) => {
+                        self.stats.incr("fault.delayed");
+                        self.emit_fault(send_at, from, to, "delay", attempt);
+                        let arrive =
+                            self.route(from, to, send_at).arrive + Cycles(1) + Cycles(extra);
+                        self.deliver(from, to, arrive, msg);
+                        return;
+                    }
+                    FaultAction::Duplicate => {
+                        self.stats.incr("fault.duplicated");
+                        self.emit_fault(send_at, from, to, "duplicate", attempt);
+                        // Both copies take a real trip through the routing
+                        // layer; the directory's replay is idempotent, so
+                        // the straggler serializes like any raced update.
+                        let first = self.route(from, to, send_at).arrive + Cycles(1);
+                        let second = self.route(from, to, send_at).arrive + Cycles(1);
+                        self.deliver(from, to, first, msg.clone());
+                        self.deliver(from, to, second, msg);
+                        return;
+                    }
+                    FaultAction::Drop => {
+                        self.stats.incr("fault.dropped");
+                        self.emit_fault(send_at, from, to, "drop", attempt);
+                        // An exhausted watchdog means the dependence test
+                        // can no longer be trusted: escalate into the
+                        // paper's abort/restore/serial safety net.
+                        FailReason::MessageLost {
+                            attempts: attempt + 1,
+                        }
+                    }
                 }
+            };
+            // The lost copy still occupied links before vanishing. Back off
+            // and resend, or fail once the retries are spent.
+            let _ = self.route(from, to, send_at);
+            let wait = Cycles(retry.timeout.checked_shl(attempt).unwrap_or(u64::MAX));
+            if attempt >= retry.max_retries {
+                self.stats.incr("retry.exhausted");
+                if matches!(exhausted, FailReason::NodeUnreachable { .. }) {
+                    self.stats.incr("fault.node.unreachable");
+                }
+                self.fail(exhausted, send_at + wait);
+                return;
             }
+            self.stats.incr("retry.resends");
+            send_at += wait;
+            attempt += 1;
         }
     }
 
@@ -2233,39 +2057,6 @@ impl MemSystem {
         self.drain_messages(arrive);
     }
 
-    /// Development aid: with `SPECRT_TRACE=<array>,<element>` in the
-    /// environment, prints every access to that element with the full
-    /// cache/tag/directory view (used to debug protocol interleavings).
-    fn trace(&self, proc: ProcId, arr: ArrayId, idx: u64, now: Cycles, what: &str) {
-        if let Some((farr, fidx)) = self.trace_filter {
-            if arr.0 == farr && idx == fidx {
-                let layout = self.layout(arr);
-                let line = layout.addr_of(idx).line();
-                let level = self.caches[proc.0 as usize].probe(line);
-                let state = self.caches[proc.0 as usize].state_of(line);
-                let offset = {
-                    let range = layout.elems_on_line(line).unwrap();
-                    (idx - range.start) as usize
-                };
-                let tag = self.caches[proc.0 as usize].tags_of(line).map(|t| {
-                    if t.is_tracked() {
-                        format!("{}", t.get(offset))
-                    } else {
-                        "untracked".into()
-                    }
-                });
-                let dir_elem = match self.shared_dir.get(arr, idx) {
-                    Some(e) => format!("{e:?}"),
-                    None => "unregistered".into(),
-                };
-                eprintln!(
-                    "[trace] t={now} {proc} {what} {arr}[{idx}] level={level:?} state={state:?} tag={tag:?} dir={dir_elem} dirline={:?}",
-                    self.dirs[self.numa.home_of(layout.addr_of(idx)).0 as usize].state(line),
-                );
-            }
-        }
-    }
-
     fn fail(&mut self, reason: FailReason, at: Cycles) {
         self.stats.incr("speculation_failures_detected");
         if self.tracer.enabled() {
@@ -2298,21 +2089,10 @@ impl MemSystem {
     /// need.
     pub fn fetch_op(&mut self, proc: ProcId, arr: ArrayId, idx: u64, now: Cycles) -> Cycles {
         self.stats.incr("fetch_ops");
-        let layout = self.layout(arr);
-        let addr = layout.addr_of(idx);
+        let addr = self.layout(arr).addr_of(idx);
         let home = self.numa.home_of(addr);
-        let lat = self.cfg.latency;
-        let req = self.route(proc.node(), home, now);
-        let end = self.dir_banks[home.0 as usize].acquire(
-            addr.line().0,
-            req.arrive,
-            Cycles(lat.mem_service),
-        );
-        let queue = end
-            .saturating_sub(req.arrive)
-            .saturating_sub(Cycles(lat.mem_service));
-        let base = lat.miss_base(proc.node(), home);
-        self.finish_round_trip(proc.node(), home, now, req, end, base + queue)
+        let base = self.cfg.latency.miss_base(proc.node(), home);
+        self.round_trip(proc, home, addr.line(), now, |_| base)
     }
 
     /// Whether lines of `arr` carry speculation access bits under the
@@ -2354,6 +2134,7 @@ impl MemSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use specrt_spec::PrivateDirElem;
 
     fn small_system(procs: u32) -> MemSystem {
         MemSystem::new(MemSystemConfig {
@@ -2653,7 +2434,13 @@ mod tests {
         let _ = t;
         ms.drain_all_messages();
         assert!(ms.failure().is_none(), "failure: {:?}", ms.failure());
-        assert_eq!(ms.copy_out_winner(A, 2), Some(P1));
+        // Only P1's private directory records a write, so copy-out takes
+        // its value.
+        let pmax_w = |p| match ms.private_dir.get(A, p, 2) {
+            PrivateDirElem::Priv { elem, .. } => elem.pmax_w,
+            e => panic!("stamped array holds {e:?}"),
+        };
+        assert_eq!((pmax_w(P0), pmax_w(P1)), (0, 7));
     }
 
     #[test]

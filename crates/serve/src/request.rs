@@ -477,7 +477,7 @@ pub fn apply_overrides(cfg: &mut MachineConfig, overrides: &Json) -> Result<(), 
             "hop_latency" => cfg.mem.net.hop_latency = override_u64(val, k)?,
             "link_service" => cfg.mem.net.link_service = override_u64(val, k)?,
             "dirty_read_downgrades" => cfg.mem.dirty_read_downgrades = override_bool(val, k)?,
-            "retry_timeout" => cfg.mem.retry.timeout = override_u64(val, k)?.max(1),
+            "retry_timeout" => cfg.mem.retry.timeout = override_u64(val, k)?,
             "retry_max_retries" => {
                 cfg.mem.retry.max_retries =
                     override_at_most(val, k, MachineConfig::MAX_RETRANSMISSIONS)?

@@ -261,3 +261,37 @@ fn out_of_range_configs_are_rejected_and_the_service_survives() {
         "{last:?}"
     );
 }
+
+/// A zero watchdog timeout is in range, so it runs as given: it answers
+/// `ok:true` under its own cache key, not under timeout 1's.
+#[test]
+fn zero_retry_timeout_is_not_clamped() {
+    let core = ServeCore::new(ServeConfig {
+        workers: 1,
+        queue_depth: 4,
+        cache_capacity: 4,
+    });
+    let mut input = String::new();
+    for timeout in [0, 1] {
+        input.push_str(&format!(
+            "{{\"id\":{timeout},\"op\":\"case\",\"seed\":3,\"protocol\":\"hw-nonpriv\",\
+             \"config\":{{\"drop_ppm\":200000,\"fault_seed\":9,\"retry_timeout\":{timeout}}}}}\n"
+        ));
+    }
+    let mut out: Vec<u8> = Vec::new();
+    serve_connection(&core, Cursor::new(input), &mut out).expect("session io");
+    let keys: Vec<String> = String::from_utf8(out)
+        .expect("utf8 output")
+        .lines()
+        .map(|l| {
+            let v = Json::parse(l).expect("response is JSON");
+            assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v:?}");
+            v.get("key")
+                .and_then(Json::as_str)
+                .expect("key")
+                .to_string()
+        })
+        .collect();
+    assert_eq!(keys.len(), 2);
+    assert_ne!(keys[0], keys[1], "timeout 0 must not share timeout 1's key");
+}

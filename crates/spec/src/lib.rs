@@ -31,6 +31,9 @@
 //! simulator in the loop.
 //!
 //! [`privat3`] holds the reduced no-read-in state of Figure 5-b / §4.1.
+//! Each processor's private-directory element of either privatization
+//! variant is one [`PrivateDirElem`], stepped by
+//! [`ProtocolSpec::private_dir_step`].
 //! Also here: [`plan`] (which arrays are under which test — the paper's
 //! address-range comparator of §4.1), [`chunking`] (block-cyclic
 //! superiterations and the processor-wise extreme of §4.1), and

@@ -5,14 +5,16 @@
 //! Two layers:
 //!
 //! * the **element layer** — [`ProtocolSpec::dir_step`] (one directory
-//!   element × one message → new element state × emissions) plus the
-//!   cache-tag and private-directory steps. They dispatch straight to the
-//!   per-variant state machines of [`crate::nonpriv`], [`crate::privat`]
-//!   and [`crate::privat3`], which return this module's emission types
-//!   themselves. `specrt-proto`'s `MemSystem` *executes* these for its
-//!   real directory/tag stores, so the simulator and the model checker run
-//!   literally the same transition code; the timing, NUMA and
-//!   cache-geometry concerns stay in the executor.
+//!   element × one message → new element state × emissions), the
+//!   cache-tag steps, and [`ProtocolSpec::private_dir_step`] over one
+//!   [`PrivateDirElem`] of either privatization variant. They dispatch
+//!   straight to the per-variant state machines of [`crate::nonpriv`],
+//!   [`crate::privat`] and [`crate::privat3`], which return this module's
+//!   emission types themselves. `specrt-proto`'s `MemSystem` *executes*
+//!   these for its shared- and private-directory stores and cache tags,
+//!   so the simulator and the model checker run literally the same
+//!   transition code; the timing, NUMA and cache-geometry concerns stay
+//!   in the executor.
 //! * the **system layer** — [`ProtocolSpec::step`]: a typed, fixed-capacity
 //!   `Copy` [`SpecState`] (directory entries, per-line tag bits,
 //!   private-copy stamps, the pending message queue) over a bounded
@@ -200,8 +202,10 @@ pub enum CacheEmission {
     Fail(FailReason),
 }
 
-/// An event at one element of a **private**-copy directory
-/// (privatization variant, Fig. 8 algorithms (b), (c), (g), (h)).
+/// An event at one element of a **private**-copy directory (Fig. 8
+/// algorithms (b), (c), (g), (h)). The no-read-in variant takes only the
+/// two signals (a read or write that reached its private directory) and
+/// ignores their `iter`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrivateEvent {
     /// The cache forwarded a read-first signal (hit path).
@@ -245,6 +249,74 @@ pub enum PrivateEffect {
     /// Run the shared directory's first-write test locally
     /// (read-in-for-write).
     TestFirstWrite,
+    /// The private directory's own test failed (no-read-in variant: a
+    /// read-first after an earlier iteration of the processor wrote).
+    Fail(FailReason),
+}
+
+/// One element of a processor's private-copy directory, in either
+/// privatization variant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PrivateDirElem {
+    /// Stamped private directory (Fig. 8), plus the sticky touched mark
+    /// feeding the line-granularity read-in test.
+    Priv {
+        /// The `PMaxR1st`/`PMaxW` stamps.
+        elem: PrivPrivateElem,
+        /// Whether the element was ever read in or written.
+        touched: bool,
+    },
+    /// Reduced no-read-in bits (§4.1).
+    Priv3(PrivNoReadInPrivate),
+}
+
+impl PrivateDirElem {
+    /// The all-clear element of a privatization `variant` (loop start).
+    ///
+    /// # Panics
+    ///
+    /// Panics on the non-privatization variant, which has no private
+    /// directory.
+    pub fn new(variant: SpecVariant) -> PrivateDirElem {
+        match variant {
+            SpecVariant::Priv => PrivateDirElem::Priv {
+                elem: PrivPrivateElem::default(),
+                touched: false,
+            },
+            SpecVariant::Priv3 => PrivateDirElem::Priv3(PrivNoReadInPrivate::default()),
+            SpecVariant::NonPriv => {
+                panic!("the non-privatization variant has no private directory")
+            }
+        }
+    }
+
+    /// The cache tag a refill of this element's private line carries in
+    /// effective iteration `eff`: `Write`/`Read1st` are set when the
+    /// matching stamp equals `eff`, or when the no-read-in bit is up, so a
+    /// refill after an eviction does not signal again.
+    pub fn refill_tag(self, eff: u64) -> ElemTag {
+        let (read1st, write) = match self {
+            PrivateDirElem::Priv { elem, .. } => (elem.pmax_r1st == eff, elem.pmax_w == eff),
+            PrivateDirElem::Priv3(e) => (e.read1st, e.write),
+        };
+        let mut tag = ElemTag::CLEAR;
+        tag.set_read1st(read1st);
+        tag.set_write(write);
+        tag
+    }
+
+    /// Whether the element was ever read in or written: a line whose
+    /// elements are all untouched is read in from the shared array.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a no-read-in element, which never reads in.
+    pub fn touched(self) -> bool {
+        match self {
+            PrivateDirElem::Priv { touched, .. } => touched,
+            PrivateDirElem::Priv3(_) => panic!("read-in test under the no-read-in variant"),
+        }
+    }
 }
 
 /// The protocol specification: a namespace for the pure element-layer
@@ -327,40 +399,60 @@ impl ProtocolSpec {
         (tag, signal)
     }
 
-    /// The private-directory transition function of the privatization
-    /// variant (stamped, Fig. 8).
-    pub fn private_step(
-        mut elem: PrivPrivateElem,
+    /// **The** private-directory transition function: one element × one
+    /// event → new element × effect. The stamped arm marks the element
+    /// touched; the no-read-in arm takes the two signal events and reports
+    /// its local FAIL as [`PrivateEffect::Fail`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a miss event at a no-read-in element, whose misses reach
+    /// the private directory as signals.
+    pub fn private_dir_step(
+        elem: PrivateDirElem,
         ev: PrivateEvent,
-    ) -> (PrivPrivateElem, PrivateEffect) {
-        let effect = match ev {
-            PrivateEvent::ReadFirstSignal { iter } => elem.on_read_first_signal(iter),
-            PrivateEvent::ReadMiss {
-                iter,
-                line_untouched,
-            } => elem.on_read_miss(iter, line_untouched),
-            PrivateEvent::FirstWriteSignal { iter } => elem.on_first_write_signal(iter),
-            PrivateEvent::WriteMiss {
-                iter,
-                line_untouched,
-            } => elem.on_write_miss(iter, line_untouched),
-        };
-        (elem, effect)
-    }
-
-    /// The private-directory transition function of the reduced
-    /// no-read-in variant (Fig. 5-b bits): the new bits and whether a
-    /// read-first / first-write signal must go to the shared directory.
-    pub fn private3_step(
-        mut elem: PrivNoReadInPrivate,
-        write: bool,
-    ) -> (PrivNoReadInPrivate, Result<bool, FailReason>) {
-        let signal = if write {
-            Ok(elem.on_write())
-        } else {
-            elem.on_read()
-        };
-        (elem, signal)
+    ) -> (PrivateDirElem, PrivateEffect) {
+        match elem {
+            PrivateDirElem::Priv { mut elem, .. } => {
+                let effect = match ev {
+                    PrivateEvent::ReadFirstSignal { iter } => elem.on_read_first_signal(iter),
+                    PrivateEvent::ReadMiss {
+                        iter,
+                        line_untouched,
+                    } => elem.on_read_miss(iter, line_untouched),
+                    PrivateEvent::FirstWriteSignal { iter } => elem.on_first_write_signal(iter),
+                    PrivateEvent::WriteMiss {
+                        iter,
+                        line_untouched,
+                    } => elem.on_write_miss(iter, line_untouched),
+                };
+                (
+                    PrivateDirElem::Priv {
+                        elem,
+                        touched: true,
+                    },
+                    effect,
+                )
+            }
+            PrivateDirElem::Priv3(mut e) => {
+                let effect = match ev {
+                    PrivateEvent::ReadFirstSignal { .. } => match e.on_read() {
+                        Ok(true) => PrivateEffect::SignalReadFirst,
+                        Ok(false) => PrivateEffect::None,
+                        Err(reason) => PrivateEffect::Fail(reason),
+                    },
+                    PrivateEvent::FirstWriteSignal { .. } => {
+                        if e.on_write() {
+                            PrivateEffect::SignalFirstWrite
+                        } else {
+                            PrivateEffect::None
+                        }
+                    }
+                    miss => panic!("protocol spec: {miss:?} at a no-read-in private directory"),
+                };
+                (PrivateDirElem::Priv3(e), effect)
+            }
+        }
     }
 }
 
@@ -495,21 +587,6 @@ pub struct LineCopy {
     pub tags: LineTags,
 }
 
-/// One element of a processor's private-copy directory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrivateDirElem {
-    /// Stamped private directory (priv variant), plus the sticky
-    /// touched mark feeding the line-granularity read-in test.
-    Priv {
-        /// The `PMaxR1st`/`PMaxW` stamps.
-        elem: PrivPrivateElem,
-        /// Whether the element was ever read in or written.
-        touched: bool,
-    },
-    /// Reduced no-read-in bits (priv3 variant).
-    Priv3(PrivNoReadInPrivate),
-}
-
 /// An in-flight asynchronous message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flight {
@@ -641,13 +718,12 @@ impl ProtocolSpec {
 
     /// The initial (all-clear, empty-cache) state.
     pub fn init(&self) -> SpecState {
-        let pdir_elem = match self.variant {
-            SpecVariant::Priv => PrivateDirElem::Priv {
-                elem: PrivPrivateElem::default(),
-                touched: false,
-            },
-            _ => PrivateDirElem::Priv3(PrivNoReadInPrivate::default()),
-        };
+        // Non-privatization keeps no private directory: its `pdir` is
+        // empty, so the fill element is never stored.
+        let pdir_elem = PrivateDirElem::new(match self.variant {
+            SpecVariant::NonPriv => SpecVariant::Priv3,
+            v => v,
+        });
         let no_flight = Flight {
             src: 0,
             msg: FlightMsg::FirstUpdate { elem: 0 },
@@ -1016,43 +1092,22 @@ impl ProtocolSpec {
     fn line_untouched(&self, s: &SpecState, proc: u16, line: u16) -> bool {
         self.scope
             .line_range(line)
-            .all(|e| match s.pdir[self.scope.pdir_index(proc, e)] {
-                PrivateDirElem::Priv { touched, .. } => !touched,
-                PrivateDirElem::Priv3(_) => unreachable!("read-in test under no-read-in variant"),
-            })
+            .all(|e| !s.pdir[self.scope.pdir_index(proc, e)].touched())
     }
 
     /// Private-line refill tags reconstructed from `proc`'s private
-    /// directory stamps (so refills after an eviction do not re-signal).
+    /// directory (so refills after an eviction do not re-signal).
     fn private_project(&self, s: &SpecState, proc: u16, line: u16) -> LineTags {
         let eff = ProtocolSpec::stamp(proc);
         let range = self.scope.line_range(line);
         let mut tags = LineTags::cleared(range.len());
         for (off, e) in range.enumerate() {
-            let t = tags.get_mut(off);
-            match s.pdir[self.scope.pdir_index(proc, e)] {
-                PrivateDirElem::Priv { elem, .. } => {
-                    if elem.pmax_w == eff {
-                        t.set_write(true);
-                    }
-                    if elem.pmax_r1st == eff {
-                        t.set_read1st(true);
-                    }
-                }
-                PrivateDirElem::Priv3(elem) => {
-                    if elem.write {
-                        t.set_write(true);
-                    }
-                    if elem.read1st {
-                        t.set_read1st(true);
-                    }
-                }
-            }
+            *tags.get_mut(off) = s.pdir[self.scope.pdir_index(proc, e)].refill_tag(eff);
         }
         tags
     }
 
-    /// Applies a stamped private-directory step at `(proc, elem)`.
+    /// Applies a private-directory step at `(proc, elem)`.
     fn private_step_at(
         &self,
         s: &mut SpecState,
@@ -1061,14 +1116,8 @@ impl ProtocolSpec {
         ev: PrivateEvent,
     ) -> PrivateEffect {
         let pi = self.scope.pdir_index(proc, elem);
-        let PrivateDirElem::Priv { elem: e, .. } = s.pdir[pi] else {
-            unreachable!("stamped step under no-read-in variant")
-        };
-        let (e2, effect) = ProtocolSpec::private_step(e, ev);
-        s.pdir[pi] = PrivateDirElem::Priv {
-            elem: e2,
-            touched: true,
-        };
+        let (next, effect) = ProtocolSpec::private_dir_step(s.pdir[pi], ev);
+        s.pdir[pi] = next;
         effect
     }
 
@@ -1236,24 +1285,22 @@ impl ProtocolSpec {
         };
         if signal {
             em.push(SpecEmission::Race(if write { 6 } else { 2 })); // (g) / (c)
-            let pi = self.scope.pdir_index(proc, elem);
-            let PrivateDirElem::Priv3(e) = s.pdir[pi] else {
-                unreachable!("no-read-in step under stamped variant")
+            let iter = ProtocolSpec::stamp(proc);
+            let ev = if write {
+                PrivateEvent::FirstWriteSignal { iter }
+            } else {
+                PrivateEvent::ReadFirstSignal { iter }
             };
-            let (e2, r) = ProtocolSpec::private3_step(e, write);
-            s.pdir[pi] = PrivateDirElem::Priv3(e2);
-            match r {
-                Ok(true) => s.inflight.push(Flight {
-                    src: proc,
-                    msg: if write {
-                        FlightMsg::FirstWrite { elem, iter: 1 }
-                    } else {
-                        FlightMsg::ReadFirst { elem, iter: 1 }
-                    },
-                }),
-                Ok(false) => {}
-                Err(reason) => self.fail(s, em, reason),
-            }
+            // The shared directory's no-read-in test ignores stamps; the
+            // signals carry 1.
+            let msg = match self.private_step_at(s, proc, elem, ev) {
+                PrivateEffect::None => return,
+                PrivateEffect::SignalReadFirst => FlightMsg::ReadFirst { elem, iter: 1 },
+                PrivateEffect::SignalFirstWrite => FlightMsg::FirstWrite { elem, iter: 1 },
+                PrivateEffect::Fail(reason) => return self.fail(s, em, reason),
+                effect => unreachable!("no-read-in signal produced {effect:?}"),
+            };
+            s.inflight.push(Flight { src: proc, msg });
         }
     }
 }
@@ -1296,6 +1343,53 @@ mod tests {
             em,
             Some(DirEmission::SendFirstUpdateFail { target: ProcId(1) })
         );
+    }
+
+    #[test]
+    fn private_dir_step_runs_both_variants() {
+        // Stamped: every step marks the element touched.
+        let fresh = PrivateDirElem::new(SpecVariant::Priv);
+        assert!(!fresh.touched());
+        let ev = PrivateEvent::WriteMiss {
+            iter: 2,
+            line_untouched: true,
+        };
+        let (e, effect) = ProtocolSpec::private_dir_step(fresh, ev);
+        assert_eq!(effect, PrivateEffect::TestFirstWrite);
+        assert!(e.touched());
+        assert!(e.refill_tag(2).write() && !e.refill_tag(3).write());
+
+        // No-read-in: signals only, and the local FAIL is an effect.
+        let (read, write) = (
+            PrivateEvent::ReadFirstSignal { iter: 1 },
+            PrivateEvent::FirstWriteSignal { iter: 1 },
+        );
+        let (e, effect) =
+            ProtocolSpec::private_dir_step(PrivateDirElem::new(SpecVariant::Priv3), write);
+        assert_eq!(effect, PrivateEffect::SignalFirstWrite);
+        assert!(e.refill_tag(7).write(), "no-read-in bits ignore stamps");
+        assert_eq!(
+            ProtocolSpec::private_dir_step(e, write).1,
+            PrivateEffect::None
+        );
+        let PrivateDirElem::Priv3(mut bits) = e else {
+            unreachable!()
+        };
+        bits.clear_iteration();
+        assert!(matches!(
+            ProtocolSpec::private_dir_step(PrivateDirElem::Priv3(bits), read).1,
+            PrivateEffect::Fail(FailReason::ReadFirstAfterWrite { .. })
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "no-read-in private directory")]
+    fn private_dir_step_rejects_a_miss_without_read_in() {
+        let ev = PrivateEvent::ReadMiss {
+            iter: 1,
+            line_untouched: true,
+        };
+        ProtocolSpec::private_dir_step(PrivateDirElem::new(SpecVariant::Priv3), ev);
     }
 
     #[test]
