@@ -16,10 +16,14 @@
 //! positions)` node is deduplicated by its exact packed encoding
 //! ([`ProtocolSpec::pack`]): the memo is a set of packed keys, so two
 //! distinct nodes never merge, and the frontier holds packed keys that are
-//! decoded ([`ProtocolSpec::unpack`]) when popped. BFS order makes the
-//! first bad state found the shallowest one, so counterexample event paths
-//! are minimal for their script; scripts are enumerated smallest-first, so
-//! the reported counterexample *script* is minimal too.
+//! decoded ([`KeyLayout::unpack`](specrt_spec::KeyLayout::unpack)) when
+//! popped. Each successor's key is built from its parent's
+//! ([`KeyLayout::repack`](specrt_spec::KeyLayout::repack)): only the
+//! entities the step recorded as written are re-encoded, and debug builds
+//! check the result against a full pack. BFS order makes the first bad
+//! state found the shallowest one, so counterexample event paths are
+//! minimal for their script; scripts are enumerated smallest-first, so the
+//! reported counterexample *script* is minimal too.
 //!
 //! ## Symmetry reduction
 //!
@@ -197,7 +201,7 @@ impl Counterexample {
                 SpecMessage::Access { proc, write, elem } => {
                     let line = self.scope.line_of(elem);
                     let resident = s.copies[self.scope.copy_index(proc, line)].is_some();
-                    let (ns, em) = spec.step(&s, m);
+                    let (ns, em, _) = spec.step(&s, m);
                     events.push(TraceEvent::Transaction {
                         at,
                         proc: proc as u32,
@@ -231,7 +235,7 @@ impl Counterexample {
                         arr: 0,
                         idx: f.msg.elem() as u64,
                     });
-                    let (ns, _) = spec.step(&s, m);
+                    let (ns, _, _) = spec.step(&s, m);
                     s = ns;
                 }
                 SpecMessage::Evict { proc, line } => {
@@ -241,7 +245,7 @@ impl Counterexample {
                         arr: proc as u32,
                         idx: line as u64,
                     });
-                    let (ns, _) = spec.step(&s, m);
+                    let (ns, _, _) = spec.step(&s, m);
                     s = ns;
                 }
             }
@@ -590,6 +594,7 @@ fn explore(
 ) -> (ScriptOutcome, Option<Vec<SpecMessage>>) {
     let envelope = envelope_holds(spec.variant, script);
     let mut outcome = ScriptOutcome::default();
+    let layout = spec.key_layout();
     let init_key = spec.pack(&spec.init(), &Pcs::filled(0, spec.scope.procs as usize));
     let mut memo: HashSet<PackedState, KeyBuild> = HashSet::default();
     memo.insert(init_key);
@@ -601,7 +606,7 @@ fn explore(
     let mut bad: Option<BadState> = None;
 
     while let Some(key) = frontier.pop_front() {
-        let (s, pcs) = spec.unpack(&key);
+        let (s, pcs) = layout.unpack(&key);
         let done = pcs
             .iter()
             .enumerate()
@@ -631,7 +636,7 @@ fn explore(
             break;
         }
         for &m in &enabled_messages(spec, &s, &pcs, script) {
-            let (ns, em) = spec.step(&s, &m);
+            let (ns, em, written) = spec.step(&s, &m);
             let mut npcs = pcs;
             if let SpecMessage::Access { proc, .. } = m {
                 npcs[proc as usize] += 1;
@@ -648,7 +653,12 @@ fn explore(
                     bad = Some((key, Some(m)));
                 }
             }
-            let nkey = spec.pack(&ns, &npcs);
+            let nkey = layout.repack(&key, &ns, &npcs, written);
+            debug_assert_eq!(
+                nkey,
+                spec.pack(&ns, &npcs),
+                "delta key differs from the full pack after {m:?}"
+            );
             if memo.insert(nkey) {
                 outcome.states += 1;
                 // State invariants, checked once per unique state.

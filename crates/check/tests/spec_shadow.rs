@@ -20,7 +20,9 @@
 //!   catches interior mutability or hash-ordering nondeterminism that a
 //!   single evaluation would mask. The same walk checks that every
 //!   reached `(state, script positions)` node survives the model checker's
-//!   packed encoding unchanged (`unpack(pack(s, pcs)) == (s, pcs)`).
+//!   packed encoding unchanged (`unpack(pack(s, pcs)) == (s, pcs)`), and
+//!   that every successor's delta key, built from its parent's key and the
+//!   step's record of writes, equals its full pack.
 
 use std::collections::HashSet;
 
@@ -82,12 +84,14 @@ fn step_is_pure_and_deterministic_over_the_reachable_state_space() {
 }
 
 /// Walks the whole symmetry-reduced script universe a model run at
-/// `scope` explores, double-evaluating every transition and round-tripping
-/// every node through the packed encoding. Unlike the model checker proper
+/// `scope` explores, double-evaluating every transition, round-tripping
+/// every node through the packed encoding and checking every successor's
+/// delta key against its full pack. Unlike the model checker proper
 /// it does NOT prune failed states — step must be pure on those too.
 /// Returns the transitions checked and the unique nodes reached.
 fn walk(variant: SpecVariant, scope: SpecScope, max_ops: usize) -> (u64, u64) {
     let spec = ProtocolSpec::new(variant, scope);
+    let layout = spec.key_layout();
     let (mut checked, mut nodes) = (0u64, 0u64);
     for script in enumerate_scripts(variant, scope, max_ops) {
         let mut seen = HashSet::new();
@@ -95,7 +99,7 @@ fn walk(variant: SpecVariant, scope: SpecScope, max_ops: usize) -> (u64, u64) {
         while let Some((s, pcs)) = frontier.pop() {
             let key = spec.pack(&s, &pcs);
             assert_eq!(
-                spec.unpack(&key),
+                layout.unpack(&key),
                 (s, pcs),
                 "{}: packed encoding lost information",
                 variant.name()
@@ -106,12 +110,12 @@ fn walk(variant: SpecVariant, scope: SpecScope, max_ops: usize) -> (u64, u64) {
             nodes += 1;
             for &m in &enabled_messages(&spec, &s, &pcs, &script) {
                 let before = s;
-                let (n1, e1) = spec.step(&s, &m);
-                let (n2, e2) = spec.step(&s, &m);
+                let (n1, e1, w1) = spec.step(&s, &m);
+                let (n2, e2, w2) = spec.step(&s, &m);
                 assert_eq!(s, before, "step must not mutate its input state");
                 assert_eq!(
-                    (&n1, &e1),
-                    (&n2, &e2),
+                    (&n1, &e1, w1),
+                    (&n2, &e2, w2),
                     "{}: step nondeterministic on {m:?}",
                     variant.name()
                 );
@@ -120,6 +124,12 @@ fn walk(variant: SpecVariant, scope: SpecScope, max_ops: usize) -> (u64, u64) {
                 if let SpecMessage::Access { proc, .. } = m {
                     npcs[proc as usize] += 1;
                 }
+                assert_eq!(
+                    layout.repack(&key, &n1, &npcs, w1),
+                    spec.pack(&n1, &npcs),
+                    "{}: delta key of {m:?} misses a write ({w1:?})",
+                    variant.name()
+                );
                 frontier.push((n1, npcs));
             }
         }

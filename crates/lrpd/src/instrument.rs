@@ -166,7 +166,7 @@ pub fn instrument_for_proc(body: &Program, cfg: &InstrumentConfig, proc: ProcId)
         }
     }
 
-    rebuild(out, base + 5)
+    rebuild(out)
 }
 
 fn redirect(arr: ArrayId, plan: &TestPlan, proc: ProcId) -> ArrayId {
@@ -559,12 +559,12 @@ fn emit_markwrite_bitmap(
     debug_assert_eq!(out.len(), done);
 }
 
-fn rebuild(instrs: Vec<Instr>, _regs: u16) -> Program {
+fn rebuild(instrs: Vec<Instr>) -> Program {
     let mut b = specrt_ir::ProgramBuilder::new();
     // Reserve the register space by allocating up to the max used register.
     let max_reg = instrs
         .iter()
-        .flat_map(regs_of)
+        .filter_map(highest_reg)
         .max()
         .map_or(0, |r| r as u16 + 1);
     for _ in 0..max_reg {
@@ -576,36 +576,20 @@ fn rebuild(instrs: Vec<Instr>, _regs: u16) -> Program {
     b.build().expect("instrumented program verifies")
 }
 
-fn regs_of(i: &Instr) -> Vec<u8> {
-    fn op(o: &Operand, v: &mut Vec<u8>) {
-        if let Operand::Reg(Reg(r)) = o {
-            v.push(*r);
-        }
-    }
-    let mut v = Vec::new();
+/// The highest register `i` reads or writes, if any.
+fn highest_reg(i: &Instr) -> Option<u8> {
+    let op = |o: &Operand| match o {
+        Operand::Reg(Reg(r)) => Some(*r),
+        _ => None,
+    };
     match i {
-        Instr::Compute(_) => {}
-        Instr::Load { dst, idx, .. } => {
-            v.push(dst.0);
-            op(idx, &mut v);
-        }
-        Instr::Store { idx, src, .. } => {
-            op(idx, &mut v);
-            op(src, &mut v);
-        }
-        Instr::Mov { dst, src } => {
-            v.push(dst.0);
-            op(src, &mut v);
-        }
-        Instr::Bin { dst, a, b, .. } => {
-            v.push(dst.0);
-            op(a, &mut v);
-            op(b, &mut v);
-        }
-        Instr::Bz { cond, .. } | Instr::Bnz { cond, .. } => op(cond, &mut v),
-        Instr::Jmp { .. } => {}
+        Instr::Compute(_) | Instr::Jmp { .. } => None,
+        Instr::Load { dst, idx, .. } => op(idx).max(Some(dst.0)),
+        Instr::Store { idx, src, .. } => op(idx).max(op(src)),
+        Instr::Mov { dst, src } => op(src).max(Some(dst.0)),
+        Instr::Bin { dst, a, b, .. } => op(a).max(op(b)).max(Some(dst.0)),
+        Instr::Bz { cond, .. } | Instr::Bnz { cond, .. } => op(cond),
     }
-    v
 }
 
 #[cfg(test)]

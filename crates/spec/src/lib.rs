@@ -59,13 +59,13 @@ pub use nonpriv::{
     nonpriv_cache_read, nonpriv_cache_write, nonpriv_complete_write, nonpriv_on_first_update_fail,
     NonPrivDirElem,
 };
-pub use packed::PackedState;
+pub use packed::{KeyLayout, PackedState};
 pub use plan::{ProtocolKind, TestPlan};
 pub use privat::{priv_cache_read, priv_cache_write, PrivPrivateElem, PrivSharedElem};
 pub use privat3::{PrivNoReadInPrivate, PrivNoReadInShared};
 pub use protospec::{
     CacheEmission, CacheEvent, DirElem, DirEmission, DirEvent, Emissions, Flight, FlightMsg,
     LineCopy, Pcs, PrivateDirElem, PrivateEffect, PrivateEvent, ProtocolSpec, SpecEmission,
-    SpecMessage, SpecScope, SpecState, SpecVariant,
+    SpecMessage, SpecScope, SpecState, SpecVariant, Written,
 };
 pub use state_cost::StateCost;

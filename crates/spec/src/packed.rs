@@ -4,7 +4,7 @@
 //! [`ProtocolSpec::pack`] writes the node into a fixed number of `u64`
 //! words, one fixed-width code per entity (the positions, each directory
 //! element, line copy, private-directory element and in-flight message),
-//! and [`ProtocolSpec::unpack`] reads it back, so two nodes are equal
+//! and [`KeyLayout::unpack`] reads it back, so two nodes are equal
 //! exactly when their packed forms are: a dedup set of packed keys never
 //! merges two distinct states. Every field's width comes from the scope
 //! limits ([`MAX_PROCS`], [`MAX_ELEMS`], [`MAX_LINES`], [`MAX_INFLIGHT`]);
@@ -13,6 +13,14 @@
 //! does not match the scope — panics instead of aliasing. Lengths that the
 //! scope fixes (directory, copies, tags, private directory, positions) are
 //! not stored.
+//!
+//! Every field but the in-flight tail, which comes last, sits at an offset
+//! the spec fixes ([`KeyLayout`]). So [`KeyLayout::repack`] builds a
+//! successor's key from its parent's: it rewrites the header and the
+//! entities a step recorded as [`Written`], and re-encodes the tail if the
+//! step sent or delivered a message. It writes through the same field
+//! encoders as `pack`, and equals `pack` of the successor whenever the
+//! record misses no write.
 
 use std::hash::{Hash, Hasher};
 
@@ -23,8 +31,8 @@ use crate::nonpriv::NonPrivDirElem;
 use crate::privat::{PrivPrivateElem, PrivSharedElem};
 use crate::privat3::{PrivNoReadInPrivate, PrivNoReadInShared};
 use crate::protospec::{
-    DirElem, Flight, FlightMsg, LineCopy, Pcs, PrivateDirElem, ProtocolSpec, SpecScope, SpecState,
-    SpecVariant, MAX_ELEMS, MAX_INFLIGHT, MAX_LINES, MAX_PROCS,
+    DirElem, Flight, FlightMsg, LineCopy, Pcs, PrivateDirElem, ProtocolSpec, SpecState,
+    SpecVariant, Written, MAX_ELEMS, MAX_INFLIGHT, MAX_LINES, MAX_PROCS,
 };
 
 /// Bits needed to hold every value in `0..=max`.
@@ -53,6 +61,8 @@ const COUNT_BITS: u32 = bits(MAX_INFLIGHT as u64);
 /// One in-flight message: its kind (five), sender, element, and a payload
 /// wide enough for a stamp or a bounce target.
 const FLIGHT_BITS: u32 = 3 + PROC_BITS + ELEM_BITS + STAMP_BITS;
+/// Line copies in the widest scope.
+const COPIES: usize = MAX_PROCS as usize * MAX_LINES as usize;
 
 /// The widest node: the failed flag, positions, priv's two directory
 /// stamps per element, every copy present with its dirty bit and tags,
@@ -80,33 +90,45 @@ impl Hash for PackedState {
     }
 }
 
-/// A little-endian bit cursor over the packed words.
-#[derive(Default)]
-struct Bits {
-    words: [u64; PACKED_WORDS],
-    at: u32,
-}
-
-impl Bits {
-    fn put(&mut self, v: u64, width: u32) {
+impl PackedState {
+    /// Overwrites the `width` bits at bit `at` (little-endian) with `v`.
+    fn put(&mut self, at: u32, v: u64, width: u32) {
         debug_assert!(v >> width == 0, "{v} does not fit {width} bits");
-        let (i, off) = ((self.at / 64) as usize, self.at % 64);
-        self.words[i] |= v << off;
+        let (i, off) = ((at / 64) as usize, at % 64);
+        self.0[i] = self.0[i] & !(mask(width) << off) | v << off;
         if off + width > 64 {
-            self.words[i + 1] |= v >> (64 - off);
+            let low = 64 - off;
+            self.0[i + 1] = self.0[i + 1] & !(mask(width) >> low) | v >> low;
         }
-        self.at += width;
     }
 
-    fn take(&mut self, width: u32) -> u64 {
-        let (i, off) = ((self.at / 64) as usize, self.at % 64);
-        let mut v = self.words[i] >> off;
+    /// The `width` bits at bit `at`.
+    fn get(&self, at: u32, width: u32) -> u64 {
+        let (i, off) = ((at / 64) as usize, at % 64);
+        let mut v = self.0[i] >> off;
         if off + width > 64 {
-            v |= self.words[i + 1] << (64 - off);
+            v |= self.0[i + 1] << (64 - off);
         }
-        self.at += width;
         v & mask(width)
     }
+
+    /// Zeroes every bit from bit `at` on.
+    fn clear_from(&mut self, at: u32) {
+        let (i, off) = ((at / 64) as usize, at % 64);
+        self.0[i] &= mask(off);
+        self.0[i + 1..].fill(0);
+    }
+}
+
+/// The set bits of `m`, lowest first.
+fn ones(mut m: u16) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (m != 0).then(|| {
+            let i = m.trailing_zeros() as usize;
+            m &= m - 1;
+            i
+        })
+    })
 }
 
 fn proc_code(p: u16) -> u64 {
@@ -209,18 +231,6 @@ fn copy_bits(len: usize) -> u32 {
     2 + TAG_BITS * len as u32
 }
 
-/// Tags per copy of each line (computed once per node: the scope's line
-/// arithmetic divides).
-fn line_lens(scope: SpecScope) -> [usize; MAX_LINES as usize] {
-    std::array::from_fn(|line| {
-        if line < scope.lines as usize {
-            scope.line_range(line as u16).len()
-        } else {
-            0
-        }
-    })
-}
-
 fn flight_code(f: &Flight) -> u64 {
     let (kind, elem, payload) = match f.msg {
         FlightMsg::FirstUpdate { elem } => (0, elem, 0),
@@ -259,8 +269,173 @@ fn flight_value(code: u64) -> Flight {
     }
 }
 
+/// Where each field of a packed node starts under one spec: the header
+/// (failed flag and script positions), each directory element, each copy,
+/// each private-directory element, and the in-flight tail. The scope and
+/// variant fix every offset up to the tail, which comes last. This is the
+/// one place the offsets are defined: [`ProtocolSpec::pack`],
+/// [`KeyLayout::repack`] and [`KeyLayout::unpack`] all read them here.
+#[derive(Debug, Clone, Copy)]
+pub struct KeyLayout {
+    spec: ProtocolSpec,
+    /// Width of the header, which starts at bit 0; the directory follows.
+    header_bits: u32,
+    dir_bits: u32,
+    /// First bit and tag count of each copy, by copy index.
+    copy_at: [u32; COPIES],
+    copy_len: [usize; COPIES],
+    pdir_at: u32,
+    pdir_bits: u32,
+    tail_at: u32,
+}
+
+impl KeyLayout {
+    fn dir_at(&self, elem: usize) -> u32 {
+        self.header_bits + elem as u32 * self.dir_bits
+    }
+
+    fn pdir_at(&self, pi: usize) -> u32 {
+        self.pdir_at + pi as u32 * self.pdir_bits
+    }
+
+    fn put_header(&self, key: &mut PackedState, failed: bool, pcs: &[u16]) {
+        let header = pcs
+            .iter()
+            .enumerate()
+            .fold(u64::from(failed), |h, (p, &pc)| {
+                assert!(
+                    pc as usize <= MAX_INFLIGHT,
+                    "script position {pc} outside 0..={MAX_INFLIGHT}"
+                );
+                h | u64::from(pc) << (1 + COUNT_BITS * p as u32)
+            });
+        key.put(0, header, self.header_bits);
+    }
+
+    fn put_dir(&self, key: &mut PackedState, elem: usize, d: &DirElem) {
+        key.put(self.dir_at(elem), self.spec.dir_code(d), self.dir_bits);
+    }
+
+    fn put_copy(&self, key: &mut PackedState, ci: usize, c: &Option<LineCopy>) {
+        let len = self.copy_len[ci];
+        key.put(self.copy_at[ci], copy_code(c, len), copy_bits(len));
+    }
+
+    fn put_pdir(&self, key: &mut PackedState, pi: usize, p: &PrivateDirElem) {
+        key.put(self.pdir_at(pi), self.spec.pdir_code(p), self.pdir_bits);
+    }
+
+    /// Writes the in-flight count and messages from the tail's offset on,
+    /// zeroing every bit past them.
+    fn put_tail(&self, key: &mut PackedState, inflight: &[Flight]) {
+        key.clear_from(self.tail_at);
+        key.put(self.tail_at, inflight.len() as u64, COUNT_BITS);
+        let mut at = self.tail_at + COUNT_BITS;
+        for f in inflight {
+            key.put(at, flight_code(f), FLIGHT_BITS);
+            at += FLIGHT_BITS;
+        }
+    }
+
+    /// The key of `(s, pcs)`, built from the key of the node `s` was
+    /// stepped from: the header and the entities `written` marks are
+    /// rewritten, and the in-flight tail is re-encoded if it changed.
+    /// Equals [`ProtocolSpec::pack`]`(s, pcs)` when `written` is what
+    /// [`ProtocolSpec::step`] reported for that step, and `parent` was
+    /// packed under this layout's spec.
+    ///
+    /// # Panics
+    ///
+    /// Panics where `pack` does on a rewritten field's value.
+    pub fn repack(
+        &self,
+        parent: &PackedState,
+        s: &SpecState,
+        pcs: &[u16],
+        written: Written,
+    ) -> PackedState {
+        let mut key = *parent;
+        self.put_header(&mut key, s.failed, pcs);
+        for e in ones(written.dir) {
+            self.put_dir(&mut key, e, &s.dir[e]);
+        }
+        for ci in ones(written.copies) {
+            self.put_copy(&mut key, ci, &s.copies[ci]);
+        }
+        for pi in ones(written.pdir) {
+            self.put_pdir(&mut key, pi, &s.pdir[pi]);
+        }
+        if written.inflight {
+            self.put_tail(&mut key, &s.inflight);
+        }
+        key
+    }
+
+    /// Decodes a key [`ProtocolSpec::pack`] or [`KeyLayout::repack`]
+    /// produced under this layout's spec.
+    pub fn unpack(&self, key: &PackedState) -> (SpecState, Pcs) {
+        let spec = &self.spec;
+        let mut s = spec.init();
+        let mut pcs = Pcs::filled(0, spec.scope.procs as usize);
+        let header = key.get(0, self.header_bits);
+        s.failed = header & 1 == 1;
+        for (p, pc) in pcs.iter_mut().enumerate() {
+            *pc = (header >> (1 + COUNT_BITS * p as u32) & mask(COUNT_BITS)) as u16;
+        }
+        for (e, d) in s.dir.iter_mut().enumerate() {
+            *d = spec.dir_value(key.get(self.dir_at(e), self.dir_bits));
+        }
+        for (ci, c) in s.copies.iter_mut().enumerate() {
+            let len = self.copy_len[ci];
+            *c = copy_value(key.get(self.copy_at[ci], copy_bits(len)), len);
+        }
+        for (pi, p) in s.pdir.iter_mut().enumerate() {
+            *p = spec.pdir_value(key.get(self.pdir_at(pi), self.pdir_bits));
+        }
+        let mut at = self.tail_at + COUNT_BITS;
+        for _ in 0..key.get(self.tail_at, COUNT_BITS) {
+            s.inflight.push(flight_value(key.get(at, FLIGHT_BITS)));
+            at += FLIGHT_BITS;
+        }
+        (s, pcs)
+    }
+}
+
 impl ProtocolSpec {
-    /// Encodes `(s, pcs)` exactly; [`ProtocolSpec::unpack`] inverts it.
+    /// The field offsets of this spec's packed keys.
+    pub fn key_layout(&self) -> KeyLayout {
+        let scope = self.scope;
+        let header_bits = 1 + COUNT_BITS * u32::from(scope.procs);
+        let dir_bits = self.dir_bits();
+        let line_lens: [usize; MAX_LINES as usize] = std::array::from_fn(|line| {
+            if line < scope.lines as usize {
+                scope.line_range(line as u16).len()
+            } else {
+                0
+            }
+        });
+        let mut copy_at = [0; COPIES];
+        let mut copy_len = [0; COPIES];
+        let mut at = header_bits + u32::from(scope.elems) * dir_bits;
+        for ci in 0..scope.procs as usize * scope.lines as usize {
+            copy_len[ci] = line_lens[ci % scope.lines as usize];
+            copy_at[ci] = at;
+            at += copy_bits(copy_len[ci]);
+        }
+        let pdir_bits = self.pdir_bits();
+        KeyLayout {
+            spec: *self,
+            header_bits,
+            dir_bits,
+            copy_at,
+            copy_len,
+            pdir_at: at,
+            pdir_bits,
+            tail_at: at + self.pdir_len() as u32 * pdir_bits,
+        }
+    }
+
+    /// Encodes `(s, pcs)` exactly; [`KeyLayout::unpack`] inverts it.
     ///
     /// # Panics
     ///
@@ -280,67 +455,20 @@ impl ProtocolSpec {
             scope.elems,
             scope.procs
         );
-        let mut b = Bits::default();
-        let header = pcs
-            .iter()
-            .enumerate()
-            .fold(u64::from(s.failed), |h, (p, &pc)| {
-                assert!(
-                    pc as usize <= MAX_INFLIGHT,
-                    "script position {pc} outside 0..={MAX_INFLIGHT}"
-                );
-                h | u64::from(pc) << (1 + COUNT_BITS * p as u32)
-            });
-        b.put(header, 1 + COUNT_BITS * pcs.len() as u32);
-        for d in &s.dir {
-            b.put(self.dir_code(d), self.dir_bits());
+        let l = self.key_layout();
+        let mut key = PackedState([0; PACKED_WORDS]);
+        l.put_header(&mut key, s.failed, pcs);
+        for (e, d) in s.dir.iter().enumerate() {
+            l.put_dir(&mut key, e, d);
         }
-        let line_lens = line_lens(scope);
-        for proc_copies in s.copies.chunks(scope.lines as usize) {
-            for (c, &len) in proc_copies.iter().zip(&line_lens) {
-                b.put(copy_code(c, len), copy_bits(len));
-            }
+        for (ci, c) in s.copies.iter().enumerate() {
+            l.put_copy(&mut key, ci, c);
         }
-        for p in &s.pdir {
-            b.put(self.pdir_code(p), self.pdir_bits());
+        for (pi, p) in s.pdir.iter().enumerate() {
+            l.put_pdir(&mut key, pi, p);
         }
-        b.put(s.inflight.len() as u64, COUNT_BITS);
-        for f in &s.inflight {
-            b.put(flight_code(f), FLIGHT_BITS);
-        }
-        PackedState(b.words)
-    }
-
-    /// Decodes a key [`ProtocolSpec::pack`] produced under this spec.
-    pub fn unpack(&self, key: &PackedState) -> (SpecState, Pcs) {
-        let scope = self.scope;
-        let mut b = Bits {
-            words: key.0,
-            at: 0,
-        };
-        let mut s = self.init();
-        let mut pcs = Pcs::filled(0, scope.procs as usize);
-        let header = b.take(1 + COUNT_BITS * pcs.len() as u32);
-        s.failed = header & 1 == 1;
-        for (p, pc) in pcs.iter_mut().enumerate() {
-            *pc = (header >> (1 + COUNT_BITS * p as u32) & mask(COUNT_BITS)) as u16;
-        }
-        for d in s.dir.iter_mut() {
-            *d = self.dir_value(b.take(self.dir_bits()));
-        }
-        let line_lens = line_lens(scope);
-        for proc_copies in s.copies.chunks_mut(scope.lines as usize) {
-            for (c, &len) in proc_copies.iter_mut().zip(&line_lens) {
-                *c = copy_value(b.take(copy_bits(len)), len);
-            }
-        }
-        for p in s.pdir.iter_mut() {
-            *p = self.pdir_value(b.take(self.pdir_bits()));
-        }
-        for _ in 0..b.take(COUNT_BITS) {
-            s.inflight.push(flight_value(b.take(FLIGHT_BITS)));
-        }
-        (s, pcs)
+        l.put_tail(&mut key, &s.inflight);
+        key
     }
 
     fn dir_bits(&self) -> u32 {
@@ -431,6 +559,7 @@ impl ProtocolSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protospec::SpecScope;
 
     const WIDEST: SpecScope = SpecScope {
         lines: MAX_LINES,
@@ -528,8 +657,22 @@ mod tests {
     fn extreme_states_round_trip() {
         for variant in SpecVariant::ALL {
             let (spec, s, pcs) = extreme(variant);
-            let (s2, pcs2) = spec.unpack(&spec.pack(&s, &pcs));
+            let layout = spec.key_layout();
+            let key = spec.pack(&s, &pcs);
+            let (s2, pcs2) = layout.unpack(&key);
             assert_eq!((s2, pcs2), (s, pcs), "{}", variant.name());
+            // Rewriting every field turns the initial key into this one
+            // and back: each rewrite clears the bits it replaces.
+            let (s0, pcs0) = (spec.init(), Pcs::filled(0, pcs.len()));
+            let key0 = spec.pack(&s0, &pcs0);
+            let all = Written {
+                dir: (1 << s.dir.len()) - 1,
+                copies: (1 << s.copies.len()) - 1,
+                pdir: (1 << s.pdir.len()) - 1,
+                inflight: true,
+            };
+            assert_eq!(layout.repack(&key0, &s, &pcs, all), key);
+            assert_eq!(layout.repack(&key, &s0, &pcs0, all), key0);
         }
     }
 
@@ -549,7 +692,7 @@ mod tests {
                         );
                         let pcs = Pcs::filled(0, procs as usize);
                         let s = spec.init();
-                        assert_eq!(spec.unpack(&spec.pack(&s, &pcs)), (s, pcs));
+                        assert_eq!(spec.key_layout().unpack(&spec.pack(&s, &pcs)), (s, pcs));
                     }
                 }
             }

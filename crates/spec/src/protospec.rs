@@ -509,8 +509,8 @@ const MAX_EMISSIONS: usize = 2 + MAX_INFLIGHT + MAX_ELEMS as usize + 1;
 
 /// The emissions of one [`ProtocolSpec::step`].
 pub type Emissions = InlineVec<SpecEmission, MAX_EMISSIONS>;
-/// Per-processor script positions, as [`ProtocolSpec::unpack`] returns
-/// them.
+/// Per-processor script positions, as
+/// [`KeyLayout::unpack`](crate::packed::KeyLayout::unpack) returns them.
 pub type Pcs = InlineVec<u16, { MAX_PROCS as usize }>;
 
 /// The bounded scope of the system-layer model: `elems` array elements
@@ -705,6 +705,117 @@ pub enum SpecEmission {
     Fail(FailReason),
 }
 
+/// The recording path of [`ProtocolSpec::step`]. The step's helpers hold
+/// a [`Successor`], which reads as a [`SpecState`] but is written only
+/// through its mutators, and each mutator marks the entity it writes, so
+/// no write of a step goes unrecorded.
+mod successor {
+    use std::ops::Deref;
+
+    use super::{
+        DirElem, Flight, LineCopy, PrivateDirElem, SpecState, MAX_ELEMS, MAX_LINES, MAX_PROCS,
+    };
+
+    // One mask bit per entry of each container.
+    const _: () = assert!(
+        MAX_PROCS as usize * MAX_ELEMS as usize <= 16
+            && MAX_PROCS as usize * MAX_LINES as usize <= 16
+    );
+
+    /// Which entities of a [`SpecState`] one
+    /// [`ProtocolSpec::step`](super::ProtocolSpec::step) wrote: bit `i` of
+    /// `dir`, `copies` and `pdir` marks entry `i` of that container, and
+    /// `inflight` marks any send or delivery. The failed flag is not
+    /// recorded: it shares the packed header with the script positions,
+    /// which the caller advances, so
+    /// [`KeyLayout::repack`](crate::packed::KeyLayout::repack) always
+    /// rewrites the header.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct Written {
+        pub(crate) dir: u16,
+        pub(crate) copies: u16,
+        pub(crate) pdir: u16,
+        pub(crate) inflight: bool,
+    }
+
+    /// The successor state a step builds, and its record of writes.
+    pub(super) struct Successor {
+        state: SpecState,
+        written: Written,
+    }
+
+    impl Successor {
+        pub(super) fn new(state: SpecState) -> Successor {
+            Successor {
+                state,
+                written: Written::default(),
+            }
+        }
+
+        pub(super) fn finish(self) -> (SpecState, Written) {
+            (self.state, self.written)
+        }
+
+        pub(super) fn fail(&mut self) {
+            self.state.failed = true;
+        }
+
+        pub(super) fn set_dir(&mut self, elem: u16, d: DirElem) {
+            self.state.dir[elem as usize] = d;
+            self.written.dir |= 1 << elem;
+        }
+
+        pub(super) fn set_copy(&mut self, ci: usize, copy: LineCopy) {
+            self.state.copies[ci] = Some(copy);
+            self.written.copies |= 1 << ci;
+        }
+
+        /// Removes copy `ci`; only a present copy counts as written.
+        pub(super) fn take_copy(&mut self, ci: usize) -> Option<LineCopy> {
+            let copy = self.state.copies[ci].take();
+            if copy.is_some() {
+                self.written.copies |= 1 << ci;
+            }
+            copy
+        }
+
+        /// Copy `ci` to change in place, marked if present.
+        pub(super) fn copy_mut(&mut self, ci: usize) -> Option<&mut LineCopy> {
+            let copy = self.state.copies[ci].as_mut();
+            if copy.is_some() {
+                self.written.copies |= 1 << ci;
+            }
+            copy
+        }
+
+        pub(super) fn set_pdir(&mut self, pi: usize, p: PrivateDirElem) {
+            self.state.pdir[pi] = p;
+            self.written.pdir |= 1 << pi;
+        }
+
+        pub(super) fn push_flight(&mut self, f: Flight) {
+            self.state.inflight.push(f);
+            self.written.inflight = true;
+        }
+
+        pub(super) fn remove_flight(&mut self, i: usize) -> Flight {
+            self.written.inflight = true;
+            self.state.inflight.remove(i)
+        }
+    }
+
+    impl Deref for Successor {
+        type Target = SpecState;
+
+        fn deref(&self) -> &SpecState {
+            &self.state
+        }
+    }
+}
+
+use successor::Successor;
+pub use successor::Written;
+
 impl ProtocolSpec {
     /// A system-layer spec over a validated scope.
     pub fn new(variant: SpecVariant, scope: SpecScope) -> ProtocolSpec {
@@ -738,16 +849,18 @@ impl ProtocolSpec {
     }
 
     /// **The** system-layer transition function:
-    /// `step(State, Message) -> (State, Emissions)`. Pure — see the
-    /// module docs for the determinism contract.
+    /// `step(State, Message) -> (State, Emissions, Written)`. Pure — see
+    /// the module docs for the determinism contract. [`Written`] records
+    /// every entity of the successor the step wrote, for
+    /// [`KeyLayout::repack`](crate::packed::KeyLayout::repack).
     ///
     /// # Panics
     ///
     /// Panics on a message that is not enabled in `s` (delivery index out
     /// of range, eviction of an absent copy, element out of scope), and on
     /// a send past [`MAX_INFLIGHT`] messages.
-    pub fn step(&self, s: &SpecState, m: &SpecMessage) -> (SpecState, Emissions) {
-        let mut next = *s;
+    pub fn step(&self, s: &SpecState, m: &SpecMessage) -> (SpecState, Emissions, Written) {
+        let mut next = Successor::new(*s);
         let mut em = Emissions::filled(SpecEmission::Race(0), 0);
         match *m {
             SpecMessage::Access { proc, write, elem } => {
@@ -775,7 +888,7 @@ impl ProtocolSpec {
             }
             SpecMessage::Evict { proc, line } => {
                 let ci = self.scope.copy_index(proc, line);
-                let copy = next.copies[ci].take().expect("evicting an absent copy");
+                let copy = next.take_copy(ci).expect("evicting an absent copy");
                 if !next.failed && copy.dirty && self.variant == SpecVariant::NonPriv {
                     // Dirty victims merge their tag state home (algorithm
                     // (e)); private-copy stamps are already authoritative
@@ -784,7 +897,8 @@ impl ProtocolSpec {
                 }
             }
         }
-        (next, em)
+        let (next, written) = next.finish();
+        (next, em, written)
     }
 
     /// Private-directory entries: one per `(proc, elem)` under the
@@ -796,18 +910,18 @@ impl ProtocolSpec {
         }
     }
 
-    fn fail(&self, s: &mut SpecState, em: &mut Emissions, reason: FailReason) {
-        s.failed = true;
+    fn fail(&self, s: &mut Successor, em: &mut Emissions, reason: FailReason) {
+        s.fail();
         em.push(SpecEmission::Fail(reason));
     }
 
     /// Applies a directory step to `s.dir[elem]`, translating emissions.
-    fn dir_step_at(&self, s: &mut SpecState, em: &mut Emissions, elem: u16, ev: DirEvent) {
+    fn dir_step_at(&self, s: &mut Successor, em: &mut Emissions, elem: u16, ev: DirEvent) {
         let (next, emission) = ProtocolSpec::dir_step(s.dir[elem as usize], ev);
-        s.dir[elem as usize] = next;
+        s.set_dir(elem, next);
         match emission {
             None => {}
-            Some(DirEmission::SendFirstUpdateFail { target }) => s.inflight.push(Flight {
+            Some(DirEmission::SendFirstUpdateFail { target }) => s.push_flight(Flight {
                 src: target.0 as u16,
                 msg: FlightMsg::FirstUpdateFail {
                     elem,
@@ -830,7 +944,7 @@ impl ProtocolSpec {
     /// Merges a dirty copy of `line` into the directory (algorithm (e)).
     fn merge_writeback(
         &self,
-        s: &mut SpecState,
+        s: &mut Successor,
         em: &mut Emissions,
         copy: &LineCopy,
         owner: u16,
@@ -858,7 +972,7 @@ impl ProtocolSpec {
     /// `drain_before_transaction` plus the per-(src, dst) in-order
     /// network guarantee. Same-line elements share a home; messages to
     /// other homes keep racing (that nondeterminism stays explored).
-    fn drain_own(&self, s: &mut SpecState, em: &mut Emissions, proc: u16, line: u16) {
+    fn drain_own(&self, s: &mut Successor, em: &mut Emissions, proc: u16, line: u16) {
         while !s.failed {
             let Some(i) = s.inflight.iter().position(|f| {
                 f.src == proc && f.msg.drains() && self.scope.line_of(f.msg.elem()) == line
@@ -870,8 +984,8 @@ impl ProtocolSpec {
     }
 
     /// Delivers in-flight message `i`.
-    fn deliver(&self, s: &mut SpecState, em: &mut Emissions, i: usize) {
-        let f = s.inflight.remove(i);
+    fn deliver(&self, s: &mut Successor, em: &mut Emissions, i: usize) {
+        let f = s.remove_flight(i);
         match f.msg {
             FlightMsg::FirstUpdate { elem } => {
                 em.push(SpecEmission::Race(5)); // (f)
@@ -900,7 +1014,7 @@ impl ProtocolSpec {
                 let line = self.scope.line_of(elem);
                 let off = (elem - self.scope.line_range(line).start) as usize;
                 let ci = self.scope.copy_index(target, line);
-                if let Some(copy) = &mut s.copies[ci] {
+                if let Some(copy) = s.copy_mut(ci) {
                     let (tag, emission) = ProtocolSpec::cache_step(
                         copy.tags.get(off),
                         copy.dirty,
@@ -940,7 +1054,7 @@ impl ProtocolSpec {
 
     fn nonpriv_access(
         &self,
-        s: &mut SpecState,
+        s: &mut Successor,
         em: &mut Emissions,
         proc: u16,
         write: bool,
@@ -955,7 +1069,7 @@ impl ProtocolSpec {
             (true, false) => {
                 // Hit read — algorithm (a).
                 em.push(SpecEmission::Race(0));
-                let copy = s.copies[ci].as_mut().expect("resident");
+                let copy = s.copy_mut(ci).expect("resident");
                 let (tag, emission) = ProtocolSpec::cache_step(
                     copy.tags.get(off),
                     copy.dirty,
@@ -966,11 +1080,11 @@ impl ProtocolSpec {
                 *copy.tags.get_mut(off) = tag;
                 match emission {
                     None => {}
-                    Some(CacheEmission::SendFirstUpdate) => s.inflight.push(Flight {
+                    Some(CacheEmission::SendFirstUpdate) => s.push_flight(Flight {
                         src: proc,
                         msg: FlightMsg::FirstUpdate { elem },
                     }),
-                    Some(CacheEmission::SendROnlyUpdate) => s.inflight.push(Flight {
+                    Some(CacheEmission::SendROnlyUpdate) => s.push_flight(Flight {
                         src: proc,
                         msg: FlightMsg::ROnlyUpdate { elem },
                     }),
@@ -986,8 +1100,8 @@ impl ProtocolSpec {
                     return;
                 }
                 if let Some(q) = self.dirty_owner(s, line) {
-                    let copy = s.copies[self.scope.copy_index(q, line)]
-                        .take()
+                    let copy = s
+                        .take_copy(self.scope.copy_index(q, line))
                         .expect("owner resident");
                     self.merge_writeback(s, em, &copy, q, line);
                     if s.failed {
@@ -1002,15 +1116,13 @@ impl ProtocolSpec {
                         from: ProcId(proc as u32),
                     },
                 );
-                s.copies[ci] = Some(LineCopy {
-                    dirty: false,
-                    tags: self.project(s, line, proc),
-                });
+                let tags = self.project(s, line, proc);
+                s.set_copy(ci, LineCopy { dirty: false, tags });
             }
             (true, true) => {
                 // Hit write — algorithm (c), upgrading via (d) if clean.
                 em.push(SpecEmission::Race(2));
-                let copy = s.copies[ci].as_mut().expect("resident");
+                let copy = s.copy_mut(ci).expect("resident");
                 let (tag, emission) = ProtocolSpec::cache_step(
                     copy.tags.get(off),
                     copy.dirty,
@@ -1043,8 +1155,8 @@ impl ProtocolSpec {
                     return;
                 }
                 if let Some(q) = self.dirty_owner(s, line) {
-                    let copy = s.copies[self.scope.copy_index(q, line)]
-                        .take()
+                    let copy = s
+                        .take_copy(self.scope.copy_index(q, line))
                         .expect("owner resident");
                     self.merge_writeback(s, em, &copy, q, line);
                     if s.failed {
@@ -1061,7 +1173,7 @@ impl ProtocolSpec {
     /// tags with the write completion applied, dirty.
     fn grant_write(
         &self,
-        s: &mut SpecState,
+        s: &mut Successor,
         em: &mut Emissions,
         proc: u16,
         line: u16,
@@ -1070,7 +1182,7 @@ impl ProtocolSpec {
     ) {
         for q in 0..self.scope.procs {
             if q != proc {
-                s.copies[self.scope.copy_index(q, line)] = None;
+                s.take_copy(self.scope.copy_index(q, line));
             }
         }
         self.dir_step_at(
@@ -1084,7 +1196,8 @@ impl ProtocolSpec {
         let mut tags = self.project(s, line, proc);
         let (tag, _) = ProtocolSpec::cache_step(tags.get(off), true, CacheEvent::CompleteWrite);
         *tags.get_mut(off) = tag;
-        s.copies[self.scope.copy_index(proc, line)] = Some(LineCopy { dirty: true, tags });
+        let ci = self.scope.copy_index(proc, line);
+        s.set_copy(ci, LineCopy { dirty: true, tags });
     }
 
     /// Whether every element of `line` is untouched in `proc`'s private
@@ -1110,20 +1223,20 @@ impl ProtocolSpec {
     /// Applies a private-directory step at `(proc, elem)`.
     fn private_step_at(
         &self,
-        s: &mut SpecState,
+        s: &mut Successor,
         proc: u16,
         elem: u16,
         ev: PrivateEvent,
     ) -> PrivateEffect {
         let pi = self.scope.pdir_index(proc, elem);
         let (next, effect) = ProtocolSpec::private_dir_step(s.pdir[pi], ev);
-        s.pdir[pi] = next;
+        s.set_pdir(pi, next);
         effect
     }
 
     fn priv_access(
         &self,
-        s: &mut SpecState,
+        s: &mut Successor,
         em: &mut Emissions,
         proc: u16,
         write: bool,
@@ -1140,7 +1253,7 @@ impl ProtocolSpec {
                 // Hit read — algorithm (a): signal on first read of the
                 // iteration.
                 em.push(SpecEmission::Race(0));
-                let copy = s.copies[ci].as_mut().expect("resident");
+                let copy = s.copy_mut(ci).expect("resident");
                 let (tag, signal) = ProtocolSpec::private_cache_read(copy.tags.get(off));
                 *copy.tags.get_mut(off) = tag;
                 if signal {
@@ -1150,7 +1263,7 @@ impl ProtocolSpec {
                         elem,
                         PrivateEvent::ReadFirstSignal { iter: eff },
                     );
-                    s.inflight.push(Flight {
+                    s.push_flight(Flight {
                         src: proc,
                         msg: FlightMsg::ReadFirst { elem, iter: eff },
                     });
@@ -1169,10 +1282,8 @@ impl ProtocolSpec {
                         line_untouched: untouched,
                     },
                 );
-                s.copies[ci] = Some(LineCopy {
-                    dirty: false,
-                    tags: self.private_project(s, proc, line),
-                });
+                let tags = self.private_project(s, proc, line);
+                s.set_copy(ci, LineCopy { dirty: false, tags });
                 match effect {
                     PrivateEffect::TestReadFirst => {
                         em.push(SpecEmission::Race(2)); // (c): read-in test
@@ -1182,7 +1293,7 @@ impl ProtocolSpec {
                         }
                         self.dir_step_at(s, em, elem, DirEvent::ReadFirst { iter: eff });
                     }
-                    PrivateEffect::SignalReadFirst => s.inflight.push(Flight {
+                    PrivateEffect::SignalReadFirst => s.push_flight(Flight {
                         src: proc,
                         msg: FlightMsg::ReadFirst { elem, iter: eff },
                     }),
@@ -1193,7 +1304,7 @@ impl ProtocolSpec {
             (true, true) => {
                 // Hit write — algorithm (g), with a local upgrade if clean.
                 em.push(SpecEmission::Race(4)); // (e): hit write
-                let copy = s.copies[ci].as_mut().expect("resident");
+                let copy = s.copy_mut(ci).expect("resident");
                 let (tag, signal) = ProtocolSpec::private_cache_write(copy.tags.get(off));
                 *copy.tags.get_mut(off) = tag;
                 copy.dirty = true;
@@ -1205,7 +1316,7 @@ impl ProtocolSpec {
                         PrivateEvent::FirstWriteSignal { iter: eff },
                     );
                     if effect == PrivateEffect::SignalFirstWrite {
-                        s.inflight.push(Flight {
+                        s.push_flight(Flight {
                             src: proc,
                             msg: FlightMsg::FirstWrite { elem, iter: eff },
                         });
@@ -1227,7 +1338,7 @@ impl ProtocolSpec {
                 );
                 let mut tags = self.private_project(s, proc, line);
                 tags.get_mut(off).set_write(true);
-                s.copies[ci] = Some(LineCopy { dirty: true, tags });
+                s.set_copy(ci, LineCopy { dirty: true, tags });
                 match effect {
                     PrivateEffect::TestFirstWrite => {
                         em.push(SpecEmission::Race(6)); // (g): read-in for write
@@ -1237,7 +1348,7 @@ impl ProtocolSpec {
                         }
                         self.dir_step_at(s, em, elem, DirEvent::FirstWrite { iter: eff });
                     }
-                    PrivateEffect::SignalFirstWrite => s.inflight.push(Flight {
+                    PrivateEffect::SignalFirstWrite => s.push_flight(Flight {
                         src: proc,
                         msg: FlightMsg::FirstWrite { elem, iter: eff },
                     }),
@@ -1250,7 +1361,7 @@ impl ProtocolSpec {
 
     fn priv3_access(
         &self,
-        s: &mut SpecState,
+        s: &mut Successor,
         em: &mut Emissions,
         proc: u16,
         write: bool,
@@ -1263,7 +1374,7 @@ impl ProtocolSpec {
         let resident = s.copies[ci].is_some();
         let signal = if resident {
             em.push(SpecEmission::Race(if write { 4 } else { 0 })); // (e) / (a)
-            let copy = s.copies[ci].as_mut().expect("resident");
+            let copy = s.copy_mut(ci).expect("resident");
             let (tag, signal) = if write {
                 ProtocolSpec::private_cache_write(copy.tags.get(off))
             } else {
@@ -1280,7 +1391,7 @@ impl ProtocolSpec {
             if write {
                 tags.get_mut(off).set_write(true);
             }
-            s.copies[ci] = Some(LineCopy { dirty: write, tags });
+            s.set_copy(ci, LineCopy { dirty: write, tags });
             true // the private directory decides below
         };
         if signal {
@@ -1300,7 +1411,7 @@ impl ProtocolSpec {
                 PrivateEffect::Fail(reason) => return self.fail(s, em, reason),
                 effect => unreachable!("no-read-in signal produced {effect:?}"),
             };
-            s.inflight.push(Flight { src: proc, msg });
+            s.push_flight(Flight { src: proc, msg });
         }
     }
 }
@@ -1397,7 +1508,7 @@ mod tests {
         let spec = ProtocolSpec::new(SpecVariant::NonPriv, scope());
         let s0 = spec.init();
         let snapshot = s0;
-        let (s1, _) = spec.step(
+        let (s1, _, _) = spec.step(
             &s0,
             &SpecMessage::Access {
                 proc: 0,
