@@ -5,8 +5,8 @@
 //!
 //! The scope here (1 line × 3 elems × 3 procs, 4 accesses per script) is a
 //! deliberate middle ground: large enough that exploration dominates setup
-//! and every race case (a)–(h) is crossed, small enough that the bench
-//! finishes in about a second per variant on one core. The full 2×3×4
+//! and every race site of each variant is crossed, small enough that the
+//! bench finishes in about a second per variant on one core. The full 2×3×4
 //! acceptance scope explores about 47M states, close to a minute on two
 //! workers: a CLI run, not a benchmark. The states/s here count unique
 //! states per second of exploration, which is one `step`, one exact
@@ -48,7 +48,10 @@ fn main() {
             "model report must not depend on the worker count"
         );
         assert!(report.ok(), "clean protocol must pass: {}", report.render());
-        assert!(report.coverage.complete(), "bench scope must cover (a)-(h)");
+        assert!(
+            report.coverage.complete(),
+            "bench scope must cover every race site"
+        );
         let rate = report.states as f64 / secs;
         println!(
             "model {}: {} scripts, {} states in {secs:.2}s ({rate:.0} states/s), \

@@ -14,24 +14,18 @@
 //! `j ≥ 1`; a regression test and a CI cross-check pin that.
 
 use specrt_engine::{SplitMix64, StatSet};
-use specrt_spec::fault;
+use specrt_spec::{fault, RaceSite, SpecVariant};
 
 use crate::diff::{node_fault_legs, run_case, CaseResult, Mismatch};
 use crate::generate::{CaseSpec, TEMPLATE_SEEDS};
+use crate::model::Coverage;
 use crate::shrink::shrink;
 
-/// The race-case counter keys bumped by `specrt-proto` at the eight
-/// protocol sites of the paper's Figs. 6–7, in letter order.
-pub const RACE_CASE_KEYS: [&str; 8] = [
-    "race_case_a",
-    "race_case_b",
-    "race_case_c",
-    "race_case_d",
-    "race_case_e",
-    "race_case_f",
-    "race_case_g",
-    "race_case_h",
-];
+/// The counter key `specrt-proto` bumps at each race site of every
+/// variant ([`RaceSite::KEYS`], in [`RaceSite::ALL`] order). perfbench
+/// sums these into its per-layer `proto.race_cases` metric, so this stays
+/// a `[&str; N]` constant.
+pub const RACE_CASE_KEYS: [&str; RaceSite::COUNT] = RaceSite::KEYS;
 
 /// Witnesses the fuzzer keeps (and shrinks) before it stops collecting.
 const MAX_FAILURES: usize = 3;
@@ -48,14 +42,17 @@ pub struct FuzzFailure {
     pub shrunk: CaseSpec,
 }
 
-/// Outcome of a fuzzing run.
+/// Outcome of a fuzzing run. perfbench builds one with a struct literal
+/// and digests its rendering and stats, so it keeps exactly these five
+/// fields.
 #[derive(Debug)]
 pub struct FuzzReport {
     /// Cases executed.
     pub cases: u64,
     /// Stream seed the run was started with.
     pub seed: u64,
-    /// Merged hardware-protocol statistics (race-case coverage).
+    /// Merged hardware-protocol statistics, race-site counts included
+    /// ([`RACE_CASE_KEYS`], read by [`Self::coverage`]).
     pub stats: StatSet,
     /// Failures found (empty = machine agrees with the oracle everywhere).
     /// At most the first `MAX_FAILURES` (3) in seed order are kept and
@@ -73,23 +70,17 @@ impl FuzzReport {
         self.failures.is_empty()
     }
 
-    /// Race-case letters of (a)–(h) visited by the hardware runs, via
-    /// direct lookups of the eight static keys — no per-letter rescan, and
-    /// no silent miss if a counter is ever renamed (debug builds assert
-    /// every `race_case_*` counter in the set is one of the known keys).
-    pub fn visited_race_cases(&self) -> Vec<char> {
-        #[cfg(debug_assertions)]
-        for (key, _) in self.stats.iter() {
-            assert!(
-                !key.starts_with("race_case_") || RACE_CASE_KEYS.contains(&key),
-                "unknown race-case counter {key:?}; update RACE_CASE_KEYS"
-            );
-        }
-        RACE_CASE_KEYS
-            .iter()
-            .enumerate()
-            .filter(|(_, key)| self.stats.get(key) > 0)
-            .map(|(i, _)| (b'a' + i as u8) as char)
+    /// The hardware runs' counts of `variant`'s race sites.
+    pub fn coverage(&self, variant: SpecVariant) -> Coverage {
+        Coverage::of_stats(variant, &self.stats)
+    }
+
+    /// Every race site the hardware runs took, of any variant, in
+    /// [`RaceSite::ALL`] order.
+    pub fn visited_race_cases(&self) -> Vec<RaceSite> {
+        RaceSite::ALL
+            .into_iter()
+            .filter(|site| self.stats.get(site.key()) > 0)
             .collect()
     }
 
@@ -98,12 +89,17 @@ impl FuzzReport {
     /// and what the `-j1` vs `-jN` byte-identity gate compares.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
+        let visited: Vec<&str> = self
+            .visited_race_cases()
+            .into_iter()
+            .map(RaceSite::label)
+            .collect();
         let mut out = format!(
-            "fuzz: {} cases, seed {:#x}, {} failure(s), race cases visited: {:?}\n",
+            "fuzz: {} cases, seed {:#x}, {} failure(s), race sites visited: {}\n",
             self.cases,
             self.seed,
             self.failures.len(),
-            self.visited_race_cases()
+            visited.join(" ")
         );
         for f in &self.failures {
             let _ = writeln!(out, "seed {:#x} disagrees with the oracle:", f.seed);
@@ -291,14 +287,24 @@ mod tests {
 
     #[test]
     fn race_case_keys_match_visited_letters() {
-        // A run big enough to visit every race case: the letters must come
-        // from the static keys, in order.
+        // Every key is exactly one site's, of all three variants, and
+        // every site a run visits is counted under its key.
+        for (i, key) in RACE_CASE_KEYS.iter().enumerate() {
+            let owners: Vec<RaceSite> = RaceSite::ALL
+                .into_iter()
+                .filter(|site| site.key() == *key)
+                .collect();
+            assert_eq!(owners, [RaceSite::ALL[i]], "key {key}");
+        }
         let r = fuzz(64, 0x5eed);
         let visited = r.visited_race_cases();
-        assert!(visited.windows(2).all(|w| w[0] < w[1]), "sorted letters");
-        for c in &visited {
-            let key = RACE_CASE_KEYS[(*c as u8 - b'a') as usize];
-            assert!(r.stats.get(key) > 0, "letter {c} without counter {key}");
+        assert!(visited.windows(2).all(|w| w[0] < w[1]), "sorted sites");
+        for variant in SpecVariant::ALL {
+            assert!(visited.iter().any(|s| s.variant() == variant));
+        }
+        for site in &visited {
+            assert!(RACE_CASE_KEYS.contains(&site.key()), "{site:?}");
+            assert!(r.stats.get(site.key()) > 0, "{site:?} uncounted");
         }
     }
 }

@@ -23,10 +23,11 @@
 //!   evictions, with exact dedup of packed states
 //!   ([`specrt_spec::PackedState`]) and processor-symmetry reduction,
 //!   covering all three protocol variants at up to 2 lines × 3 elems × 4
-//!   procs with coverage accounting for race cases (a)–(h), parallelized
-//!   per script with byte-identical reports at any worker count. The
-//!   machine's `MemSystem` executes the same transition functions, so the
-//!   two check one protocol definition.
+//!   procs with coverage accounting for every race site of each variant
+//!   ([`specrt_spec::RaceSite`]), parallelized per script with
+//!   byte-identical reports at any worker count. The machine's `MemSystem`
+//!   executes the same transition functions and counts the same sites, so
+//!   the two check one protocol definition.
 //! * invariant hooks — the `debug_assertions` checks this crate leans on
 //!   live in `specrt-proto` ([`specrt_proto::MemSystem::assert_invariants`],
 //!   per-path in-order delivery) and `specrt-spec` (stamp monotonicity);

@@ -66,9 +66,11 @@
 //!   `Read1st`/`Write` tag bit implies the matching private-directory
 //!   stamp/bit at every state.
 //!
-//! Race-case coverage counts each of the paper's sites (a)–(h) as labelled
-//! by [`SpecEmission::Race`]; letter meaning is per variant (access sites
-//! (a)–(g) plus delivered updates/signals — see `protospec`).
+//! Race-site coverage counts every [`RaceSite`] the element steps emit as
+//! [`SpecEmission::Race`], per variant: Figs. 6–7 (a)–(h), Fig. 9 (a)–(j)
+//! and the no-read-in variant's §4.1 sites. The machine counts the same
+//! sites ([`Coverage::of_stats`]), so `specrt-check coverage` compares the
+//! two sides site by site.
 //!
 //! ## Determinism and parallelism
 //!
@@ -81,41 +83,75 @@
 //! test).
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use specrt_cache::FirstTag;
-use specrt_engine::Cycles;
+use specrt_engine::{Cycles, StatSet};
 use specrt_mem::ProcId;
 use specrt_spec::protospec::{MAX_INFLIGHT, MAX_LINES, MAX_PROCS};
 use specrt_spec::{
-    fault, DirElem, FlightMsg, InlineVec, PackedState, Pcs, PrivateDirElem, ProtocolSpec,
+    fault, DirElem, FlightMsg, InlineVec, PackedState, Pcs, PrivateDirElem, ProtocolSpec, RaceSite,
     SpecEmission, SpecMessage, SpecScope, SpecState, SpecVariant,
 };
 use specrt_trace::{HitKind, TraceEvent};
 
 use crate::generate::Op;
 
-/// Race-case coverage accounting over one or more explorations.
-#[derive(Debug, Clone, Default)]
+/// Race-site counts of one protocol variant, taken by the model checker
+/// or by the machine. Its `Display` is the report line: `label=count` per
+/// site of the variant, in letter order.
+#[derive(Debug, Clone)]
 pub struct Coverage {
-    /// `counts[i]` = times race case `('a' + i)` was reached.
-    pub counts: [u64; 8],
+    /// The variant whose sites are counted.
+    pub variant: SpecVariant,
+    /// `counts[i]` = times the variant's `i`-th site, in letter order, was
+    /// taken (the tail past its last site stays zero). perfbench digests
+    /// this array by value, so it stays a fixed-size array.
+    pub counts: [u64; RaceSite::MAX_PER_VARIANT],
 }
 
 impl Coverage {
-    /// Race-case letters never reached.
-    pub fn unvisited(&self) -> Vec<char> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c == 0)
-            .map(|(i, _)| (b'a' + i as u8) as char)
+    /// No site of `variant` taken yet.
+    pub fn new(variant: SpecVariant) -> Coverage {
+        Coverage {
+            variant,
+            counts: [0; RaceSite::MAX_PER_VARIANT],
+        }
+    }
+
+    /// The machine's counts of `variant`'s sites, read from the
+    /// `MemSystem` counters in `stats`.
+    pub fn of_stats(variant: SpecVariant, stats: &StatSet) -> Coverage {
+        let mut c = Coverage::new(variant);
+        for (n, site) in c.counts.iter_mut().zip(RaceSite::of(variant)) {
+            *n = stats.get(site.key());
+        }
+        c
+    }
+
+    /// The variant's sites never taken. perfbench prints this.
+    pub fn unvisited(&self) -> Vec<RaceSite> {
+        RaceSite::of(self.variant)
+            .zip(self.counts)
+            .filter_map(|(site, n)| (n == 0).then_some(site))
             .collect()
     }
 
-    /// Whether all of (a)–(h) were reached.
+    /// Whether every site of the variant was taken. perfbench gates on
+    /// this.
     pub fn complete(&self) -> bool {
-        self.counts.iter().all(|&c| c > 0)
+        self.unvisited().is_empty()
+    }
+}
+
+impl fmt::Display for Coverage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, (site, n)) in RaceSite::of(self.variant).zip(self.counts).enumerate() {
+            let sep = if i == 0 { "" } else { " " };
+            write!(f, "{sep}{}={n}", site.label())?;
+        }
+        Ok(())
     }
 }
 
@@ -188,8 +224,9 @@ pub struct Counterexample {
 
 impl Counterexample {
     /// Replays the event path through the spec and renders it as trace
-    /// events (one `Transaction` per access with its race-case letter, one
-    /// `Message` per delivery/eviction), ready for the trace exporters.
+    /// events (one `Transaction` per access with the first race site it
+    /// took itself, as the machine's trace names it; one `Message` per
+    /// delivery/eviction), ready for the trace exporters.
     pub fn trace(&self) -> Vec<TraceEvent> {
         let spec = ProtocolSpec::new(self.variant, self.scope);
         let mut s = spec.init();
@@ -213,8 +250,8 @@ impl Counterexample {
                         queue: Cycles(0),
                         complete: Cycles(at.0 + 1),
                         case: em.iter().find_map(|e| match e {
-                            SpecEmission::Race(i) => Some(RACE_LETTERS[*i as usize]),
-                            SpecEmission::Fail(_) => None,
+                            SpecEmission::Race(site) if !site.delivery() => Some(site.label()),
+                            _ => None,
                         }),
                     });
                     pcs[proc as usize] += 1;
@@ -288,9 +325,6 @@ impl Counterexample {
     }
 }
 
-/// Race-case letters, indexed as [`SpecEmission::Race`] indexes them.
-const RACE_LETTERS: [&str; 8] = ["a", "b", "c", "d", "e", "f", "g", "h"];
-
 /// The merged result of one model-checking run.
 #[derive(Debug, Clone)]
 pub struct ModelReport {
@@ -354,11 +388,7 @@ impl ModelReport {
             self.invariant_violations,
             self.conservative,
         );
-        out.push_str("race-case coverage:");
-        for (i, n) in self.coverage.counts.iter().enumerate() {
-            out.push_str(&format!(" {}={}", (b'a' + i as u8) as char, n));
-        }
-        out.push('\n');
+        out.push_str(&format!("race-case coverage: {}\n", self.coverage));
         if let Some(cex) = &self.counterexample {
             out.push_str(&cex.render());
         }
@@ -549,7 +579,8 @@ struct ScriptOutcome {
     violation: bool,
     invariant_violations: u64,
     any_pass: bool,
-    coverage: Coverage,
+    /// Times each race site was taken, indexed like [`Coverage::counts`].
+    sites: [u64; RaceSite::MAX_PER_VARIANT],
 }
 
 /// Location of the first bad state found, for path reconstruction:
@@ -595,6 +626,8 @@ fn explore(
     let envelope = envelope_holds(spec.variant, script);
     let mut outcome = ScriptOutcome::default();
     let layout = spec.key_layout();
+    // The variant's first site: `Coverage::counts` indexes from it.
+    let first_site = RaceSite::of(spec.variant).next().map_or(0, |s| s as usize);
     let init_key = spec.pack(&spec.init(), &Pcs::filled(0, spec.scope.procs as usize));
     let mut memo: HashSet<PackedState, KeyBuild> = HashSet::default();
     memo.insert(init_key);
@@ -642,8 +675,8 @@ fn explore(
                 npcs[proc as usize] += 1;
             }
             for e in &em {
-                if let SpecEmission::Race(i) = e {
-                    outcome.coverage.counts[*i as usize] += 1;
+                if let SpecEmission::Race(site) = e {
+                    outcome.sites[*site as usize - first_site] += 1;
                 }
             }
             // Transition invariant: privatization stamps move one way.
@@ -899,7 +932,7 @@ pub fn run_model(cfg: &ModelConfig) -> ModelReport {
         violations: 0,
         invariant_violations: 0,
         conservative: 0,
-        coverage: Coverage::default(),
+        coverage: Coverage::new(cfg.variant),
         counterexample: None,
     };
     let mut first_bad = None;
@@ -911,7 +944,7 @@ pub fn run_model(cfg: &ModelConfig) -> ModelReport {
         if envelope_holds(cfg.variant, script) && !o.any_pass {
             report.conservative += 1;
         }
-        for (c, n) in report.coverage.counts.iter_mut().zip(o.coverage.counts) {
+        for (c, n) in report.coverage.counts.iter_mut().zip(o.sites) {
             *c += n;
         }
         if first_bad.is_none() && (o.violation || o.invariant_violations > 0) {

@@ -3,7 +3,7 @@
 //! of the non-privatization protocol at one line of two elements.
 
 use specrt_check::{fuzz, run_model, ModelConfig};
-use specrt_spec::{SpecScope, SpecVariant};
+use specrt_spec::{RaceSite, SpecScope, SpecVariant};
 
 #[test]
 fn bounded_fuzz_agrees_with_oracle_under_debug_invariants() {
@@ -14,10 +14,27 @@ fn bounded_fuzz_agrees_with_oracle_under_debug_invariants() {
         report.failures
     );
     // The templates alone already drive the full machine through the
-    // hot-path race cases.
+    // hot-path race sites of every variant.
     let visited = report.visited_race_cases();
-    for c in ['a', 'b', 'c', 'd', 'e'] {
-        assert!(visited.contains(&c), "race case {c} unvisited by fuzz");
+    let hot = [
+        RaceSite::NonPrivA,
+        RaceSite::NonPrivB,
+        RaceSite::NonPrivC,
+        RaceSite::NonPrivD,
+        RaceSite::NonPrivE,
+        RaceSite::PrivA,
+        RaceSite::PrivC,
+        RaceSite::PrivH,
+        RaceSite::Priv3A,
+        RaceSite::Priv3C,
+        RaceSite::Priv3H,
+    ];
+    for site in hot {
+        let label = site.label();
+        assert!(
+            visited.contains(&site),
+            "race site {label} unvisited by fuzz"
+        );
     }
 }
 

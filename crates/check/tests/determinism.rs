@@ -28,11 +28,14 @@ fn fuzz_500_cases_is_byte_identical_across_job_counts() {
     );
     assert_eq!(serial.ok(), parallel.ok());
     assert_eq!(serial.cases, parallel.cases);
-    assert_eq!(
-        serial.visited_race_cases(),
-        parallel.visited_race_cases(),
-        "race-case coverage must not depend on the worker count"
-    );
+    for variant in SpecVariant::ALL {
+        assert_eq!(
+            serial.coverage(variant).counts,
+            parallel.coverage(variant).counts,
+            "{} race-site counts must not depend on the worker count",
+            variant.name()
+        );
+    }
     // The smoke run itself must stay clean: the machine agrees with the
     // oracle on all 500 cases.
     assert!(serial.ok(), "fuzz failures: {:?}", serial.failures);

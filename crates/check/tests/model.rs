@@ -103,9 +103,9 @@ fn model_catches_swap_ts_compare() {
 fn clean_protocols_pass_and_cover_all_race_cases_at_smoke_scope() {
     // The flip side of the mutation tests: with no fault injected, no
     // ordering of any script at the CI smoke scope may violate the
-    // envelope, and the exploration must still visit every race-case site
-    // (a)-(h) of the paper's Figs. 6-9 — otherwise the mutation results
-    // above prove nothing about the uninstrumented corners.
+    // envelope, and the exploration must still visit every race site of
+    // the variant (Figs. 6-7, Fig. 9 or §4.1) — otherwise the mutation
+    // results above prove nothing about the uninstrumented corners.
     for variant in SpecVariant::ALL {
         let report = run_model(&ModelConfig::smoke(variant));
         assert!(

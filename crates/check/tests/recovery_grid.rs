@@ -27,22 +27,22 @@ use specrt_spec::ProtocolKind;
 
 /// The policies of the grid with the digest pinned for each.
 const POLICIES: [(RecoveryPolicy, u64); 4] = [
-    (RecoveryPolicy::SerialReexec, 0x546548bda98c6f15),
+    (RecoveryPolicy::SerialReexec, 0xd9efe9808aa22459),
     (
         RecoveryPolicy::RetrySpeculative { max_attempts: 2 },
-        0xb981045b44e90c1d,
+        0x0f5b73f7328a78fa,
     ),
     (
         RecoveryPolicy::CheckpointRestart {
             checkpoint: CheckpointConfig { every_iters: 1 },
         },
-        0x295442c3a9b15d5a,
+        0x9f620c16326448ec,
     ),
     (
         RecoveryPolicy::CheckpointRestart {
             checkpoint: CheckpointConfig { every_iters: 4 },
         },
-        0x08a3904cd66733ee,
+        0xc2aa43d95231ea15,
     ),
 ];
 

@@ -16,7 +16,7 @@ use std::ops::Range;
 use specrt_cache::LineTags;
 use specrt_spec::{
     DirElem, DirEmission, DirEvent, PrivateDirElem, PrivateEffect, PrivateEvent, ProtocolSpec,
-    SpecVariant,
+    RaceSite, SpecVariant,
 };
 
 /// Shared-directory speculation state for every element of the arrays
@@ -60,18 +60,23 @@ impl SharedDirStore {
     }
 
     /// Runs [`ProtocolSpec::dir_step`] at `arr[idx]`, stores the successor
-    /// and returns the emission.
+    /// and returns the emission and the race site.
     ///
     /// # Panics
     ///
     /// Panics if the array is unregistered, the index is out of range, or
     /// the event does not apply to the array's variant.
-    pub fn step(&mut self, arr: ArrayId, idx: u64, ev: DirEvent) -> Option<DirEmission> {
+    pub fn step(
+        &mut self,
+        arr: ArrayId,
+        idx: u64,
+        ev: DirEvent,
+    ) -> (Option<DirEmission>, RaceSite) {
         let (_, elems) = self.arrays.get_mut(&arr).expect("array registered");
         let elem = &mut elems[idx as usize];
-        let (next, em) = ProtocolSpec::dir_step(*elem, ev);
+        let (next, em, site) = ProtocolSpec::dir_step(*elem, ev);
         *elem = next;
-        em
+        (em, site)
     }
 
     /// Clears all state (loop start: "clearing the directory tags … with a
@@ -143,7 +148,8 @@ impl PrivateDirStore {
     }
 
     /// Runs [`ProtocolSpec::private_dir_step`] at element `idx` of `proc`'s
-    /// copy of `arr`, stores the successor and returns the effect.
+    /// copy of `arr`, stores the successor and returns the effect and the
+    /// race site.
     ///
     /// # Panics
     ///
@@ -155,20 +161,20 @@ impl PrivateDirStore {
         proc: ProcId,
         idx: u64,
         ev: PrivateEvent,
-    ) -> PrivateEffect {
+    ) -> (PrivateEffect, RaceSite) {
         let (_, elems) = self
             .copies
             .get_mut(&(arr, proc))
             .expect("private copy registered");
         let elem = &mut elems[idx as usize];
-        let (next, effect) = ProtocolSpec::private_dir_step(*elem, ev);
+        let (next, effect, site) = ProtocolSpec::private_dir_step(*elem, ev);
         if let (PrivateDirElem::Priv3(was), PrivateDirElem::Priv3(now)) = (*elem, next) {
             if !(was.read1st || was.write) && (now.read1st || now.write) {
                 self.raised[proc.0 as usize].push((arr, idx));
             }
         }
         *elem = next;
-        effect
+        (effect, site)
     }
 
     /// Whether every element of `range` in `proc`'s stamped copy of `arr`
@@ -244,16 +250,22 @@ mod tests {
         assert_eq!(s.variant_of(pr), Some(SpecVariant::Priv));
         assert_eq!(s.get(ArrayId(9), 0), None);
 
-        assert_eq!(s.step(np, 2, DirEvent::WriteReq { from: ProcId(1) }), None);
+        let write_req = DirEvent::WriteReq { from: ProcId(1) };
+        assert_eq!(s.step(np, 2, write_req), (None, RaceSite::NonPrivD));
         assert_eq!(s.get(np, 2).unwrap().state_label(), "NoShr,First(cpu1)");
-        assert_eq!(s.step(pr, 0, DirEvent::FirstWrite { iter: 5 }), None);
-        assert_eq!(s.step(p3, 1, DirEvent::FirstWrite { iter: 1 }), None);
+        let read_in_for_write = DirEvent::ReadInForWrite { iter: 5 };
+        assert_eq!(s.step(pr, 0, read_in_for_write), (None, RaceSite::PrivJ));
+        let first_write = DirEvent::FirstWrite { iter: 1 };
+        assert_eq!(s.step(p3, 1, first_write), (None, RaceSite::Priv3I));
         assert_eq!(
             s.step(p3, 1, DirEvent::ReadFirst { iter: 1 }),
-            Some(DirEmission::Fail(FailReason::ReadFirstAfterWrite {
-                iter: 0,
-                min_w: 0
-            }))
+            (
+                Some(DirEmission::Fail(FailReason::ReadFirstAfterWrite {
+                    iter: 0,
+                    min_w: 0
+                })),
+                RaceSite::Priv3D
+            )
         );
 
         // A stamp-window reset clears the stamps and nothing else.
@@ -290,7 +302,7 @@ mod tests {
         };
         assert_eq!(
             s.step(STAMPED, P0, 3, write_miss),
-            PrivateEffect::TestFirstWrite
+            (PrivateEffect::TestFirstWrite, RaceSite::PrivH)
         );
         let (read, write) = (
             PrivateEvent::ReadFirstSignal { iter: 1 },
@@ -298,12 +310,12 @@ mod tests {
         );
         assert_eq!(
             s.step(NO_READ_IN, P0, 1, write),
-            PrivateEffect::SignalFirstWrite
+            (PrivateEffect::SignalFirstWrite, RaceSite::Priv3G)
         );
-        assert_eq!(s.step(NO_READ_IN, P0, 1, write), PrivateEffect::None);
+        assert_eq!(s.step(NO_READ_IN, P0, 1, write).0, PrivateEffect::None);
         assert_eq!(
             s.step(NO_READ_IN, P0, 2, read),
-            PrivateEffect::SignalReadFirst
+            (PrivateEffect::SignalReadFirst, RaceSite::Priv3B)
         );
         s
     }
@@ -450,8 +462,9 @@ mod tests {
                             },
                         };
                         let cur = model[a][p][idx as usize];
-                        let (next, effect) = ProtocolSpec::private_dir_step(cur, ev);
-                        assert_eq!(store.step(arr, ProcId(p as u32), idx, ev), effect);
+                        let (next, effect, site) = ProtocolSpec::private_dir_step(cur, ev);
+                        let stepped = store.step(arr, ProcId(p as u32), idx, ev);
+                        assert_eq!(stepped, (effect, site));
                         model[a][p][idx as usize] = next;
                     }
                 }

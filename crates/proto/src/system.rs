@@ -18,8 +18,9 @@ use specrt_ir::ArrayId;
 use specrt_mem::{ArrayLayout, ElemSize, LineAddr, NodeId, NumaAllocator, PlacementPolicy, ProcId};
 use specrt_net::{Delivery, FaultAction, FaultStats, NetConfig, NetSummary, Network};
 use specrt_spec::{
-    CacheEmission, CacheEvent, DirEmission, DirEvent, FailReason, IterationNumbering,
-    PrivateEffect, PrivateEvent, ProtocolKind, ProtocolSpec, SpecVariant, TestPlan,
+    nonpriv_complete_write, CacheEmission, CacheEvent, DirEmission, DirEvent, FailReason,
+    IterationNumbering, PrivateEffect, PrivateEvent, ProtocolKind, ProtocolSpec, RaceSite,
+    SpecVariant, TestPlan,
 };
 use specrt_trace::{HitKind, TraceEvent, Tracer};
 
@@ -38,26 +39,6 @@ pub fn private_copy_id(arr: ArrayId, proc: ProcId) -> ArrayId {
     ArrayId(PRIVATE_ID_BASE | (arr.0 << 8) | proc.0)
 }
 
-/// Executes the pure non-privatization cache-tag transition in place (free
-/// function because callers hold a tag borrow into the cache hierarchy).
-fn spec_cache_step(tag: &mut ElemTag, dirty: bool, ev: CacheEvent) -> Option<CacheEmission> {
-    let (next, em) = ProtocolSpec::cache_step(*tag, dirty, ev);
-    *tag = next;
-    em
-}
-
-/// Executes the pure privatization cache-tag transition in place,
-/// returning whether a first-access signal must be raised.
-fn spec_private_cache(tag: &mut ElemTag, write: bool) -> bool {
-    let (next, signal) = if write {
-        ProtocolSpec::private_cache_write(*tag)
-    } else {
-        ProtocolSpec::private_cache_read(*tag)
-    };
-    *tag = next;
-    signal
-}
-
 /// Result of one simulated memory access.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessOutcome {
@@ -69,6 +50,16 @@ pub struct AccessOutcome {
     /// line that was just **read in** from the shared array. The functional
     /// layer must copy those shared values into the private copy.
     pub read_in: Option<Range<u64>>,
+}
+
+impl AccessOutcome {
+    /// An access that completes at `complete_at` and reads nothing in.
+    fn at(complete_at: Cycles) -> AccessOutcome {
+        AccessOutcome {
+            complete_at,
+            read_in: None,
+        }
+    }
 }
 
 /// Configuration of the memory system.
@@ -143,32 +134,22 @@ impl Default for MemSystemConfig {
     }
 }
 
-#[derive(Debug, Clone)]
+/// An asynchronous protocol message in flight.
+#[derive(Debug, Clone, Copy)]
 enum Msg {
-    FirstUpdate {
+    /// An update or signal for the shared-directory entry of `arr[idx]`:
+    /// a `First_update`, an `ROnly_update`, or a read-first or first-write
+    /// signal.
+    Dir {
         arr: ArrayId,
         idx: u64,
-        sender: ProcId,
+        ev: DirEvent,
     },
-    ROnlyUpdate {
-        arr: ArrayId,
-        idx: u64,
-        sender: ProcId,
-    },
+    /// A `First_update_fail` bounce to `target`'s copy of `arr[idx]`.
     FirstUpdateFail {
         arr: ArrayId,
         idx: u64,
         target: ProcId,
-    },
-    PrivReadFirst {
-        arr: ArrayId,
-        idx: u64,
-        iter: u64,
-    },
-    PrivFirstWrite {
-        arr: ArrayId,
-        idx: u64,
-        iter: u64,
     },
 }
 
@@ -208,9 +189,9 @@ pub struct MemSystem {
     /// Scratch: queueing delay of the last directory transaction, read by
     /// the tracing path right after the dispatch that produced it.
     last_queue: Cycles,
-    /// Scratch: which of the paper's race-case algorithms (a)–(h) the last
-    /// dispatch took, for the transaction trace.
-    last_case: Option<&'static str>,
+    /// Scratch: the first race site the traced access took itself (not
+    /// one of a message it drained), for the transaction trace.
+    case: Option<RaceSite>,
     /// Scratch: abort context `(proc, arr, idx, iter)` of the access or
     /// message currently being processed, consumed by [`Self::fail`].
     cur_ctx: Option<(Option<u32>, u32, u64, Option<u64>)>,
@@ -280,7 +261,7 @@ impl MemSystem {
             stamp_base: 0,
             tracer: Tracer::off(),
             last_queue: Cycles(0),
-            last_case: None,
+            case: None,
             cur_ctx: None,
             msg_arrival: vec![Cycles(0); procs * procs],
             cfg,
@@ -741,7 +722,7 @@ impl MemSystem {
         let enabled = self.tracer.enabled();
         let (hit, pre) = if enabled {
             self.last_queue = Cycles(0);
-            self.last_case = None;
+            self.case = None;
             let iter = self
                 .plan
                 .kind_of(arr)
@@ -761,8 +742,7 @@ impl MemSystem {
             (Some(SpecVariant::NonPriv), true) => self.nonpriv_write(proc, arr, idx, now),
             (Some(SpecVariant::Priv), false) => self.priv_read(proc, arr, idx, now),
             (Some(SpecVariant::Priv), true) => self.priv_write(proc, arr, idx, now),
-            (Some(SpecVariant::Priv3), false) => self.priv3_read(proc, arr, idx, now),
-            (Some(SpecVariant::Priv3), true) => self.priv3_write(proc, arr, idx, now),
+            (Some(SpecVariant::Priv3), w) => self.priv3_access(proc, arr, idx, now, w),
         };
         if enabled {
             let home = self.trace_home(proc, arr, idx);
@@ -776,7 +756,7 @@ impl MemSystem {
                 home,
                 queue: self.last_queue,
                 complete: out.complete_at,
-                case: self.last_case,
+                case: self.case.map(RaceSite::label),
             });
             self.emit_spec_transition(now, Some(proc.0), arr, idx, pre);
             self.cur_ctx = None;
@@ -890,10 +870,7 @@ impl MemSystem {
                 }
             }
         };
-        AccessOutcome {
-            complete_at,
-            read_in: None,
-        }
+        AccessOutcome::at(complete_at)
     }
 
     // ------------------------------------------------------------------
@@ -911,15 +888,66 @@ impl MemSystem {
     // no transition can bypass [`ProtocolSpec::dir_step`] or
     // [`ProtocolSpec::private_dir_step`].
 
-    /// Runs [`ProtocolSpec::dir_step`] at one shared-directory element for
-    /// events whose only possible emission is a FAIL (every directory
-    /// event except `First_update`).
-    fn spec_dir_test(&mut self, arr: ArrayId, idx: u64, ev: DirEvent) -> Result<(), FailReason> {
-        match self.shared_dir.step(arr, idx, ev) {
-            None => Ok(()),
-            Some(DirEmission::Fail(reason)) => Err(reason),
-            Some(em) => unreachable!("directory event {ev:?} emitted {em:?}"),
+    /// Counts a race site the protocol took — the one call every element
+    /// step's site goes through — and names the traced access's first own
+    /// site as its `case`.
+    fn took(&mut self, site: RaceSite) {
+        self.stats.incr(site.key());
+        if self.case.is_none() && !site.delivery() {
+            self.case = Some(site);
         }
+    }
+
+    /// Runs [`ProtocolSpec::dir_step`] at one shared-directory element at
+    /// time `at` and discharges its emission: a FAIL, or the
+    /// `First_update_fail` bounce to a `First_update` that lost its race.
+    fn dir_step(&mut self, arr: ArrayId, idx: u64, ev: DirEvent, at: Cycles) {
+        let (em, site) = self.shared_dir.step(arr, idx, ev);
+        self.took(site);
+        match em {
+            None => {}
+            Some(DirEmission::SendFirstUpdateFail { target }) => {
+                self.stats.incr("first_update_bounces");
+                let home = self.shared_elem_home(arr, idx);
+                let bounce = Msg::FirstUpdateFail { arr, idx, target };
+                self.send(at, home, target.node(), bounce);
+            }
+            Some(DirEmission::Fail(reason)) => self.fail(reason, at),
+        }
+    }
+
+    /// Runs [`ProtocolSpec::private_dir_step`] at element `idx` of `proc`'s
+    /// private copy of `arr`.
+    fn private_dir_step(
+        &mut self,
+        arr: ArrayId,
+        proc: ProcId,
+        idx: u64,
+        ev: PrivateEvent,
+    ) -> PrivateEffect {
+        let (effect, site) = self.private_dir.step(arr, proc, idx, ev);
+        self.took(site);
+        effect
+    }
+
+    /// Runs one of the spec's cache-tag steps (`step`) on `proc`'s resident
+    /// tag at `offset` of `line`, stores the new tag and returns the step's
+    /// output.
+    fn tag_step<T>(
+        &mut self,
+        proc: ProcId,
+        line: LineAddr,
+        offset: usize,
+        step: impl FnOnce(ElemTag) -> (ElemTag, T, RaceSite),
+    ) -> T {
+        let tag = self.caches[proc.0 as usize]
+            .tags_mut(line)
+            .expect("resident line has tags")
+            .get_mut(offset);
+        let (next, out, site) = step(*tag);
+        *tag = next;
+        self.took(site);
+        out
     }
 
     // ------------------------------------------------------------------
@@ -936,38 +964,18 @@ impl MemSystem {
             let done = now + self.hit_latency(level);
             let dirty = self.caches[proc.0 as usize].state_of(line) == Some(LineState::Dirty);
             let offset = self.elem_offset(&layout, line, idx);
-            self.stats.incr("race_case_a");
-            let tags = self.caches[proc.0 as usize]
-                .tags_mut(line)
-                .expect("resident line has tags");
-            let tag = tags.get_mut(offset);
-            match spec_cache_step(tag, dirty, CacheEvent::Read { reader: proc }) {
+            let step = |t| ProtocolSpec::cache_step(t, dirty, CacheEvent::Read { reader: proc });
+            match self.tag_step(proc, line, offset, step) {
                 None => {}
                 Some(CacheEmission::SendFirstUpdate) => {
                     self.stats.incr("nonpriv_first_updates");
-                    self.send(
-                        now,
-                        proc.node(),
-                        home,
-                        Msg::FirstUpdate {
-                            arr,
-                            idx,
-                            sender: proc,
-                        },
-                    );
+                    let ev = DirEvent::FirstUpdate { sender: proc };
+                    self.send(now, proc.node(), home, Msg::Dir { arr, idx, ev });
                 }
                 Some(CacheEmission::SendROnlyUpdate) => {
                     self.stats.incr("nonpriv_r_only_updates");
-                    self.send(
-                        now,
-                        proc.node(),
-                        home,
-                        Msg::ROnlyUpdate {
-                            arr,
-                            idx,
-                            sender: proc,
-                        },
-                    );
+                    let ev = DirEvent::ROnlyUpdate { sender: proc };
+                    self.send(now, proc.node(), home, Msg::Dir { arr, idx, ev });
                 }
                 Some(CacheEmission::Fail(reason)) => self.fail(reason, done),
                 Some(CacheEmission::NeedWriteReq) => unreachable!("read emitted a write request"),
@@ -978,21 +986,14 @@ impl MemSystem {
             // owner's tag state into the directory), and only then run the
             // directory-side test and project the reply tags — exactly the
             // ordering of algorithm (b).
-            self.last_case = Some("b");
-            self.stats.incr("race_case_b");
             self.drain_before_transaction(proc.node(), home, now);
             let done = self.coherence_fetch(proc, line, false, now);
-            if let Err(reason) = self.spec_dir_test(arr, idx, DirEvent::ReadReq { from: proc }) {
-                self.fail(reason, now);
-            }
+            self.dir_step(arr, idx, DirEvent::ReadReq { from: proc }, now);
             let tags = self.project_nonpriv_tags(&layout, line, proc);
             self.install_line(proc, line, LineState::Clean, tags, now);
             done
         };
-        AccessOutcome {
-            complete_at,
-            read_in: None,
-        }
+        AccessOutcome::at(complete_at)
     }
 
     fn nonpriv_write(
@@ -1011,27 +1012,17 @@ impl MemSystem {
             let dirty = self.caches[proc.0 as usize].state_of(line) == Some(LineState::Dirty);
             let offset = self.elem_offset(&layout, line, idx);
             let hit_done = now + self.hit_latency(level);
-            self.stats.incr("race_case_c");
-            let tags = self.caches[proc.0 as usize]
-                .tags_mut(line)
-                .expect("resident line has tags");
-            let tag = tags.get_mut(offset);
-            match spec_cache_step(tag, dirty, CacheEvent::Write { writer: proc }) {
+            let step = |t| ProtocolSpec::cache_step(t, dirty, CacheEvent::Write { writer: proc });
+            match self.tag_step(proc, line, offset, step) {
                 None => hit_done,
                 Some(CacheEmission::NeedWriteReq) => {
                     // Upgrade: the directory runs the authoritative test and
                     // the grant refreshes the whole line's tags.
-                    self.last_case = Some("d");
-                    self.stats.incr("race_case_d");
                     self.drain_before_transaction(proc.node(), home, now);
-                    if let Err(reason) =
-                        self.spec_dir_test(arr, idx, DirEvent::WriteReq { from: proc })
-                    {
-                        self.fail(reason, now);
-                    }
+                    self.dir_step(arr, idx, DirEvent::WriteReq { from: proc }, now);
                     let mut tags = self.project_nonpriv_tags(&layout, line, proc);
                     if tags.is_tracked() {
-                        spec_cache_step(tags.get_mut(offset), true, CacheEvent::CompleteWrite);
+                        nonpriv_complete_write(tags.get_mut(offset));
                     }
                     self.upgrade_line(proc, line, tags, now)
                 }
@@ -1044,25 +1035,18 @@ impl MemSystem {
         } else {
             // Algorithm (d): writeback+invalidate the owner and merge its
             // tag state, *then* test and grant.
-            self.last_case = Some("d");
-            self.stats.incr("race_case_d");
             self.drain_before_transaction(proc.node(), home, now);
             let done = self.coherence_fetch(proc, line, true, now);
-            if let Err(reason) = self.spec_dir_test(arr, idx, DirEvent::WriteReq { from: proc }) {
-                self.fail(reason, now);
-            }
+            self.dir_step(arr, idx, DirEvent::WriteReq { from: proc }, now);
             let offset = self.elem_offset(&layout, line, idx);
             let mut tags = self.project_nonpriv_tags(&layout, line, proc);
             if tags.is_tracked() {
-                spec_cache_step(tags.get_mut(offset), true, CacheEvent::CompleteWrite);
+                nonpriv_complete_write(tags.get_mut(offset));
             }
             self.install_line(proc, line, LineState::Dirty, tags, now);
             done
         };
-        AccessOutcome {
-            complete_at,
-            read_in: None,
-        }
+        AccessOutcome::at(complete_at)
     }
 
     /// Builds the line tags sent with a data reply: the directory state
@@ -1098,72 +1082,21 @@ impl MemSystem {
         let playout = self.private_layout(arr, proc);
         let line = playout.addr_of(idx).line();
         let level = self.caches[proc.0 as usize].access(line);
-        if level != HitLevel::Miss {
-            let offset = self.elem_offset(&playout, line, idx);
-            let tags = self.caches[proc.0 as usize]
-                .tags_mut(line)
-                .expect("resident private line has tags");
-            if spec_private_cache(tags.get_mut(offset), false) {
-                self.stats.incr("priv_read_first_signals");
-                // Private directory is local: update synchronously, then
-                // forward the read-first signal to the shared home.
-                let effect = self.private_dir.step(
-                    arr,
-                    proc,
-                    idx,
-                    PrivateEvent::ReadFirstSignal { iter: eff },
-                );
-                debug_assert_eq!(effect, PrivateEffect::SignalReadFirst);
-                self.forward_read_first(proc, arr, idx, eff, now);
-            }
-            return AccessOutcome {
-                complete_at: now + self.hit_latency(level),
-                read_in: None,
-            };
+        if level == HitLevel::Miss {
+            return self.priv_miss(proc, arr, idx, &playout, false, now);
         }
-        // Miss: the private directory decides between read-in, read-first,
-        // and a plain refill (algorithm (c)).
-        self.last_case = Some("c");
-        let range = playout.elems_on_line(line).expect("line within array");
-        let untouched = self.private_dir.line_untouched(arr, proc, range.clone());
-        let effect = self.private_dir.step(
-            arr,
-            proc,
-            idx,
-            PrivateEvent::ReadMiss {
-                iter: eff,
-                line_untouched: untouched,
-            },
-        );
-        let mut read_in = None;
-        let tags = self.private_line_tags(proc, arr, &playout, line, None);
-        let mut complete_at = self.fetch_line(proc, line, LineState::Clean, tags, now);
-        match effect {
-            PrivateEffect::TestReadFirst => {
-                self.stats.incr("priv_read_ins");
-                if self.test_enabled {
-                    let home = self.shared_elem_home(arr, idx);
-                    self.drain_before_transaction(proc.node(), home, now);
-                    if let Err(reason) =
-                        self.spec_dir_test(arr, idx, DirEvent::ReadFirst { iter: eff })
-                    {
-                        self.fail(reason, now);
-                    }
-                }
-                complete_at += self.shared_fetch_latency(proc, arr, idx, now);
-                read_in = Some(range);
-            }
-            PrivateEffect::SignalReadFirst => {
-                self.stats.incr("priv_read_first_signals");
-                self.forward_read_first(proc, arr, idx, eff, now);
-            }
-            PrivateEffect::None => {}
-            effect => unreachable!("read miss produced {effect:?}"),
+        let offset = self.elem_offset(&playout, line, idx);
+        let step = |t| ProtocolSpec::private_cache_step(SpecVariant::Priv, t, false);
+        if self.tag_step(proc, line, offset, step) {
+            self.stats.incr("priv_read_first_signals");
+            // Private directory is local: update synchronously, then
+            // forward the read-first signal to the shared home.
+            let ev = PrivateEvent::ReadFirstSignal { iter: eff };
+            let effect = self.private_dir_step(arr, proc, idx, ev);
+            debug_assert_eq!(effect, PrivateEffect::SignalReadFirst);
+            self.signal_home(proc, arr, idx, DirEvent::ReadFirst { iter: eff }, now);
         }
-        AccessOutcome {
-            complete_at,
-            read_in,
-        }
+        AccessOutcome::at(now + self.hit_latency(level))
     }
 
     fn priv_write(&mut self, proc: ProcId, arr: ArrayId, idx: u64, now: Cycles) -> AccessOutcome {
@@ -1171,72 +1104,86 @@ impl MemSystem {
         let playout = self.private_layout(arr, proc);
         let line = playout.addr_of(idx).line();
         let level = self.caches[proc.0 as usize].access(line);
-        if level != HitLevel::Miss {
-            let dirty = self.caches[proc.0 as usize].state_of(line) == Some(LineState::Dirty);
-            let offset = self.elem_offset(&playout, line, idx);
-            let tags = self.caches[proc.0 as usize]
-                .tags_mut(line)
-                .expect("resident private line has tags");
-            if spec_private_cache(tags.get_mut(offset), true) {
-                self.stats.incr("priv_first_write_signals");
-                let effect = self.private_dir.step(
-                    arr,
-                    proc,
-                    idx,
-                    PrivateEvent::FirstWriteSignal { iter: eff },
-                );
-                if effect == PrivateEffect::SignalFirstWrite {
-                    self.forward_first_write(proc, arr, idx, eff, now);
-                }
-            }
-            let complete_at = if dirty {
-                now + self.hit_latency(level)
-            } else {
-                // Local upgrade of the private line.
-                let tags = self.private_line_tags(proc, arr, &playout, line, Some(offset));
-                self.upgrade_line(proc, line, tags, now)
-            };
-            return AccessOutcome {
-                complete_at,
-                read_in: None,
-            };
+        if level == HitLevel::Miss {
+            return self.priv_miss(proc, arr, idx, &playout, true, now);
         }
-        // Miss (algorithm (h)).
-        self.last_case = Some("h");
+        let dirty = self.caches[proc.0 as usize].state_of(line) == Some(LineState::Dirty);
+        let offset = self.elem_offset(&playout, line, idx);
+        let step = |t| ProtocolSpec::private_cache_step(SpecVariant::Priv, t, true);
+        if self.tag_step(proc, line, offset, step) {
+            self.stats.incr("priv_first_write_signals");
+            let ev = PrivateEvent::FirstWriteSignal { iter: eff };
+            if self.private_dir_step(arr, proc, idx, ev) == PrivateEffect::SignalFirstWrite {
+                self.signal_home(proc, arr, idx, DirEvent::FirstWrite { iter: eff }, now);
+            }
+        }
+        if dirty {
+            return AccessOutcome::at(now + self.hit_latency(level));
+        }
+        // Local upgrade of the private line.
+        let tags = self.private_line_tags(proc, arr, &playout, line, Some(offset));
+        AccessOutcome::at(self.upgrade_line(proc, line, tags, now))
+    }
+
+    /// A privatized miss, algorithms (c) and (h): the private directory
+    /// decides between reading the line in from the shared array (which
+    /// runs the shared directory's test), signalling the shared directory,
+    /// and a plain refill from the private copy.
+    fn priv_miss(
+        &mut self,
+        proc: ProcId,
+        arr: ArrayId,
+        idx: u64,
+        playout: &ArrayLayout,
+        write: bool,
+        now: Cycles,
+    ) -> AccessOutcome {
+        let iter = self.effective_iter(proc);
+        let line = playout.addr_of(idx).line();
         let range = playout.elems_on_line(line).expect("line within array");
-        let untouched = self.private_dir.line_untouched(arr, proc, range.clone());
-        let effect = self.private_dir.step(
-            arr,
-            proc,
-            idx,
-            PrivateEvent::WriteMiss {
-                iter: eff,
-                line_untouched: untouched,
-            },
-        );
+        let line_untouched = self.private_dir.line_untouched(arr, proc, range.clone());
+        let (ev, state) = if write {
+            let ev = PrivateEvent::WriteMiss {
+                iter,
+                line_untouched,
+            };
+            (ev, LineState::Dirty)
+        } else {
+            let ev = PrivateEvent::ReadMiss {
+                iter,
+                line_untouched,
+            };
+            (ev, LineState::Clean)
+        };
+        let effect = self.private_dir_step(arr, proc, idx, ev);
         let mut read_in = None;
-        let tags = self.private_line_tags(proc, arr, &playout, line, None);
-        let mut complete_at = self.fetch_line(proc, line, LineState::Dirty, tags, now);
+        let tags = self.private_line_tags(proc, arr, playout, line, None);
+        let mut complete_at = self.fetch_line(proc, line, state, tags, now);
         match effect {
-            PrivateEffect::TestFirstWrite => {
+            PrivateEffect::TestReadFirst | PrivateEffect::TestFirstWrite => {
                 self.stats.incr("priv_read_ins");
                 if self.test_enabled {
                     let home = self.shared_elem_home(arr, idx);
                     self.drain_before_transaction(proc.node(), home, now);
-                    if let Err(reason) =
-                        self.spec_dir_test(arr, idx, DirEvent::FirstWrite { iter: eff })
-                    {
-                        self.fail(reason, now);
-                    }
+                    let ev = if write {
+                        DirEvent::ReadInForWrite { iter }
+                    } else {
+                        DirEvent::ReadIn { iter }
+                    };
+                    self.dir_step(arr, idx, ev, now);
                 }
                 complete_at += self.shared_fetch_latency(proc, arr, idx, now);
                 read_in = Some(range);
             }
+            PrivateEffect::SignalReadFirst => {
+                self.stats.incr("priv_read_first_signals");
+                self.signal_home(proc, arr, idx, DirEvent::ReadFirst { iter }, now);
+            }
             PrivateEffect::SignalFirstWrite => {
-                self.forward_first_write(proc, arr, idx, eff, now);
+                self.signal_home(proc, arr, idx, DirEvent::FirstWrite { iter }, now);
             }
             PrivateEffect::None => {}
-            effect => unreachable!("write miss produced {effect:?}"),
+            PrivateEffect::Fail(reason) => unreachable!("stamped miss failed: {reason}"),
         }
         AccessOutcome {
             complete_at,
@@ -1248,89 +1195,75 @@ impl MemSystem {
     // Privatization protocol, reduced no-read-in state (Figure 5-b / §4.1)
     // ------------------------------------------------------------------
 
-    fn priv3_read(&mut self, proc: ProcId, arr: ArrayId, idx: u64, now: Cycles) -> AccessOutcome {
-        let eff = self.effective_iter(proc);
-        let playout = self.private_layout(arr, proc);
-        let line = playout.addr_of(idx).line();
-        let level = self.caches[proc.0 as usize].access(line);
-        let (signal, complete_at) = if level != HitLevel::Miss {
-            let offset = self.elem_offset(&playout, line, idx);
-            let tags = self.caches[proc.0 as usize]
-                .tags_mut(line)
-                .expect("resident private line has tags");
-            let signal = spec_private_cache(tags.get_mut(offset), false);
-            (signal, now + self.hit_latency(level))
-        } else {
-            // The private directory decides below.
-            let tags = self.private_line_tags(proc, arr, &playout, line, None);
-            let done = self.fetch_line(proc, line, LineState::Clean, tags, now);
-            (true, done)
-        };
-        if signal {
-            let ev = PrivateEvent::ReadFirstSignal { iter: eff };
-            self.priv3_signal(proc, arr, idx, ev, now);
-        }
-        AccessOutcome {
-            complete_at,
-            read_in: None,
-        }
-    }
-
-    fn priv3_write(&mut self, proc: ProcId, arr: ArrayId, idx: u64, now: Cycles) -> AccessOutcome {
-        let eff = self.effective_iter(proc);
-        let playout = self.private_layout(arr, proc);
-        let line = playout.addr_of(idx).line();
-        let level = self.caches[proc.0 as usize].access(line);
-        let offset = self.elem_offset(&playout, line, idx);
-        let (signal, complete_at) = if level != HitLevel::Miss {
-            let tags = self.caches[proc.0 as usize]
-                .tags_mut(line)
-                .expect("resident private line has tags");
-            let signal = spec_private_cache(tags.get_mut(offset), true);
-            if self.caches[proc.0 as usize].state_of(line) == Some(LineState::Dirty) {
-                (signal, now + self.hit_latency(level))
-            } else {
-                let tags = self.private_line_tags(proc, arr, &playout, line, Some(offset));
-                (signal, self.upgrade_line(proc, line, tags, now))
-            }
-        } else {
-            let tags = self.private_line_tags(proc, arr, &playout, line, Some(offset));
-            let done = self.fetch_line(proc, line, LineState::Dirty, tags, now);
-            (true, done)
-        };
-        if signal {
-            let ev = PrivateEvent::FirstWriteSignal { iter: eff };
-            self.priv3_signal(proc, arr, idx, ev, now);
-        }
-        AccessOutcome {
-            complete_at,
-            read_in: None,
-        }
-    }
-
-    /// Runs a no-read-in access's private-directory step and forwards the
-    /// signal it asks for (with stamp 1: the shared bits ignore stamps).
-    fn priv3_signal(
+    /// A no-read-in access. A hit steps the tag and signals the private
+    /// directory on the iteration's first read or write; a miss always
+    /// reaches it. The private directory forwards the signal it asks for
+    /// (with stamp 1: the shared bits ignore stamps) or FAILs locally.
+    fn priv3_access(
         &mut self,
         proc: ProcId,
         arr: ArrayId,
         idx: u64,
-        ev: PrivateEvent,
         now: Cycles,
-    ) {
-        match self.private_dir.step(arr, proc, idx, ev) {
+        write: bool,
+    ) -> AccessOutcome {
+        let iter = self.effective_iter(proc);
+        let playout = self.private_layout(arr, proc);
+        let line = playout.addr_of(idx).line();
+        let level = self.caches[proc.0 as usize].access(line);
+        let offset = self.elem_offset(&playout, line, idx);
+        let write_at = write.then_some(offset);
+        let (ev, complete_at) = if level == HitLevel::Miss {
+            let tags = self.private_line_tags(proc, arr, &playout, line, write_at);
+            let (ev, state) = if write {
+                let ev = PrivateEvent::WriteMiss {
+                    iter,
+                    line_untouched: false,
+                };
+                (ev, LineState::Dirty)
+            } else {
+                let ev = PrivateEvent::ReadMiss {
+                    iter,
+                    line_untouched: false,
+                };
+                (ev, LineState::Clean)
+            };
+            (Some(ev), self.fetch_line(proc, line, state, tags, now))
+        } else {
+            let step = |t| ProtocolSpec::private_cache_step(SpecVariant::Priv3, t, write);
+            let signal = self.tag_step(proc, line, offset, step);
+            let ev = if write {
+                PrivateEvent::FirstWriteSignal { iter }
+            } else {
+                PrivateEvent::ReadFirstSignal { iter }
+            };
+            let dirty = self.caches[proc.0 as usize].state_of(line) == Some(LineState::Dirty);
+            let done = if write && !dirty {
+                let tags = self.private_line_tags(proc, arr, &playout, line, write_at);
+                self.upgrade_line(proc, line, tags, now)
+            } else {
+                now + self.hit_latency(level)
+            };
+            (signal.then_some(ev), done)
+        };
+        let effect = match ev {
+            Some(ev) => self.private_dir_step(arr, proc, idx, ev),
+            None => PrivateEffect::None,
+        };
+        match effect {
             PrivateEffect::None => {}
             PrivateEffect::SignalReadFirst => {
                 self.stats.incr("priv_read_first_signals");
-                self.forward_read_first(proc, arr, idx, 1, now);
+                self.signal_home(proc, arr, idx, DirEvent::ReadFirst { iter: 1 }, now);
             }
             PrivateEffect::SignalFirstWrite => {
                 self.stats.incr("priv_first_write_signals");
-                self.forward_first_write(proc, arr, idx, 1, now);
+                self.signal_home(proc, arr, idx, DirEvent::FirstWrite { iter: 1 }, now);
             }
             PrivateEffect::Fail(reason) => self.fail(reason, now),
-            effect => unreachable!("no-read-in signal produced {effect:?}"),
+            effect => unreachable!("no-read-in step produced {effect:?}"),
         }
+        AccessOutcome::at(complete_at)
     }
 
     /// Refill tags for `proc`'s private `line`, projected from its private
@@ -1401,39 +1334,17 @@ impl MemSystem {
         per_proc[proc.0 as usize] = Some(layout);
     }
 
-    fn forward_read_first(&mut self, proc: ProcId, arr: ArrayId, idx: u64, eff: u64, now: Cycles) {
+    /// Sends a privatization read-first or first-write signal `ev` from
+    /// `proc` to the shared home of `arr[idx]`, unless the test is off.
+    fn signal_home(&mut self, proc: ProcId, arr: ArrayId, idx: u64, ev: DirEvent, now: Cycles) {
         if !self.test_enabled {
             return;
         }
-        let home = self.shared_elem_home(arr, idx);
-        self.send(
-            now,
-            proc.node(),
-            home,
-            Msg::PrivReadFirst {
-                arr,
-                idx,
-                iter: eff,
-            },
-        );
-    }
-
-    fn forward_first_write(&mut self, proc: ProcId, arr: ArrayId, idx: u64, eff: u64, now: Cycles) {
-        if !self.test_enabled {
-            return;
+        if matches!(ev, DirEvent::FirstWrite { .. }) {
+            self.stats.incr("priv_first_write_shared");
         }
-        self.stats.incr("priv_first_write_shared");
         let home = self.shared_elem_home(arr, idx);
-        self.send(
-            now,
-            proc.node(),
-            home,
-            Msg::PrivFirstWrite {
-                arr,
-                idx,
-                iter: eff,
-            },
-        );
+        self.send(now, proc.node(), home, Msg::Dir { arr, idx, ev });
     }
 
     fn shared_elem_home(&self, arr: ArrayId, idx: u64) -> NodeId {
@@ -1690,19 +1601,11 @@ impl MemSystem {
     }
 
     /// Merges a dirty line's per-element tags into the directory's
-    /// non-privatization state (private-copy lines have their authoritative
-    /// stamps in the private store already and are skipped). Displacement
-    /// path: counts as the paper's algorithm (e).
-    fn merge_tags_into_dir(&mut self, owner: ProcId, line: LineAddr, tags: &LineTags, now: Cycles) {
-        if self.merge_line_tags(owner, line, tags, now) {
-            self.stats.incr("race_case_e");
-        }
-    }
-
-    /// Shared merge core: replays a line's per-element tags into the home
-    /// directory as `Writeback` events. Returns whether the line is under
-    /// the non-privatization test (and was therefore merged).
-    fn merge_line_tags(
+    /// non-privatization state as `Writeback` events, each one race site
+    /// (e) (private-copy lines have their authoritative stamps in the
+    /// private store already and are skipped). Returns whether the line is
+    /// under the non-privatization test (and was therefore merged).
+    fn merge_tags_into_dir(
         &mut self,
         owner: ProcId,
         line: LineAddr,
@@ -1725,16 +1628,8 @@ impl MemSystem {
             if i >= tags.len() {
                 break;
             }
-            if let Err(reason) = self.spec_dir_test(
-                arr,
-                idx,
-                DirEvent::Writeback {
-                    tag: tags.get(i),
-                    owner,
-                },
-            ) {
-                self.fail(reason, now);
-            }
+            let tag = tags.get(i);
+            self.dir_step(arr, idx, DirEvent::Writeback { tag, owner }, now);
         }
         true
     }
@@ -1760,9 +1655,9 @@ impl MemSystem {
     /// steps an eviction would (idempotent on consistent state, so a
     /// later real write-back of the still-resident line is harmless) and
     /// charges no simulated time or directory occupancy. Each merged line
-    /// increments the `verdict_merges` stat — deliberately *not* a
-    /// `race_case_*` counter, since no displacement (algorithm (e))
-    /// actually occurred.
+    /// increments the `verdict_merges` stat, and each merged element
+    /// counts race site (e), the decision the model checker's final flush
+    /// takes for the same line.
     pub fn merge_dirty_tags(&mut self, now: Cycles) {
         let mut dirty: Vec<(ProcId, LineAddr, LineTags)> = Vec::new();
         for (p, cache) in self.caches.iter().enumerate() {
@@ -1778,7 +1673,7 @@ impl MemSystem {
             }
         }
         for (proc, line, tags) in dirty {
-            if self.merge_line_tags(proc, line, &tags, now) {
+            if self.merge_tags_into_dir(proc, line, &tags, now) {
                 self.stats.incr("verdict_merges");
             }
         }
@@ -1829,7 +1724,7 @@ impl MemSystem {
                         // the straggler serializes like any raced update.
                         let first = self.route(from, to, send_at).arrive + Cycles(1);
                         let second = self.route(from, to, send_at).arrive + Cycles(1);
-                        self.deliver(from, to, first, msg.clone());
+                        self.deliver(from, to, first, msg);
                         self.deliver(from, to, second, msg);
                         return;
                     }
@@ -1936,21 +1831,19 @@ impl MemSystem {
         let enabled = self.tracer.enabled();
         let mut pre = None;
         if enabled {
-            let (kind, arr, idx, sender, iter) = match &msg {
-                Msg::FirstUpdate { arr, idx, sender } => {
-                    ("First_update", *arr, *idx, Some(sender.0), None)
-                }
-                Msg::ROnlyUpdate { arr, idx, sender } => {
-                    ("ROnly_update", *arr, *idx, Some(sender.0), None)
+            let (kind, arr, idx, sender, iter) = match msg {
+                Msg::Dir { arr, idx, ev } => {
+                    let (kind, sender, iter) = match ev {
+                        DirEvent::FirstUpdate { sender } => ("First_update", Some(sender.0), None),
+                        DirEvent::ROnlyUpdate { sender } => ("ROnly_update", Some(sender.0), None),
+                        DirEvent::ReadFirst { iter } => ("read-first signal", None, Some(iter)),
+                        DirEvent::FirstWrite { iter } => ("first-write signal", None, Some(iter)),
+                        ev => unreachable!("{ev:?} travels in a transaction, not a message"),
+                    };
+                    (kind, arr, idx, sender, iter)
                 }
                 Msg::FirstUpdateFail { arr, idx, target } => {
-                    ("First_update_fail", *arr, *idx, Some(target.0), None)
-                }
-                Msg::PrivReadFirst { arr, idx, iter } => {
-                    ("read-first signal", *arr, *idx, None, Some(*iter))
-                }
-                Msg::PrivFirstWrite { arr, idx, iter } => {
-                    ("first-write signal", *arr, *idx, None, Some(*iter))
+                    ("First_update_fail", arr, idx, Some(target.0), None)
                 }
             };
             self.tracer.emit(TraceEvent::Message {
@@ -1963,68 +1856,28 @@ impl MemSystem {
             pre = Some((sender, arr, idx, self.spec_state_label(arr, idx)));
         }
         match msg {
-            Msg::FirstUpdate { arr, idx, sender } => {
-                self.stats.incr("race_case_f");
+            Msg::Dir { arr, idx, ev } => {
                 self.charge_update_service(arr, idx, at);
-                match self
-                    .shared_dir
-                    .step(arr, idx, DirEvent::FirstUpdate { sender })
-                {
-                    None => {}
-                    Some(DirEmission::SendFirstUpdateFail { target }) => {
-                        self.stats.incr("first_update_bounces");
-                        let home = self.shared_elem_home(arr, idx);
-                        self.send(
-                            at,
-                            home,
-                            target.node(),
-                            Msg::FirstUpdateFail { arr, idx, target },
-                        );
-                    }
-                    Some(DirEmission::Fail(reason)) => self.fail(reason, at),
-                }
-            }
-            Msg::ROnlyUpdate { arr, idx, sender } => {
-                self.stats.incr("race_case_h");
-                self.charge_update_service(arr, idx, at);
-                if let Err(reason) = self.spec_dir_test(arr, idx, DirEvent::ROnlyUpdate { sender })
-                {
-                    self.fail(reason, at);
-                }
+                self.dir_step(arr, idx, ev, at);
             }
             Msg::FirstUpdateFail { arr, idx, target } => {
-                self.stats.incr("race_case_g");
                 let layout = self.layout(arr);
                 let line = layout.addr_of(idx).line();
                 let offset = self.elem_offset(&layout, line, idx);
-                let dirty = self.caches[target.0 as usize].state_of(line) == Some(LineState::Dirty);
                 let cache = &mut self.caches[target.0 as usize];
-                if cache.probe(line) != HitLevel::Miss {
-                    if let Some(tags) = cache.tags_mut(line) {
-                        if tags.is_tracked() {
-                            if let Some(CacheEmission::Fail(reason)) = spec_cache_step(
-                                tags.get_mut(offset),
-                                dirty,
-                                CacheEvent::FirstUpdateFail { target },
-                            ) {
-                                self.fail(reason, at);
-                            }
-                        }
-                    }
-                }
+                let dirty = cache.state_of(line) == Some(LineState::Dirty);
+                let tracked = cache.probe(line) != HitLevel::Miss
+                    && cache.tags_mut(line).is_some_and(|tags| tags.is_tracked());
                 // If the line was displaced meanwhile, its write-back merge
                 // already reconciled the state with the directory.
-            }
-            Msg::PrivReadFirst { arr, idx, iter } => {
-                self.charge_update_service(arr, idx, at);
-                if let Err(reason) = self.spec_dir_test(arr, idx, DirEvent::ReadFirst { iter }) {
-                    self.fail(reason, at);
-                }
-            }
-            Msg::PrivFirstWrite { arr, idx, iter } => {
-                self.charge_update_service(arr, idx, at);
-                if let Err(reason) = self.spec_dir_test(arr, idx, DirEvent::FirstWrite { iter }) {
-                    self.fail(reason, at);
+                if tracked {
+                    let ev = CacheEvent::FirstUpdateFail { target };
+                    let step = |t| ProtocolSpec::cache_step(t, dirty, ev);
+                    if let Some(CacheEmission::Fail(reason)) =
+                        self.tag_step(target, line, offset, step)
+                    {
+                        self.fail(reason, at);
+                    }
                 }
             }
         }
@@ -2415,6 +2268,17 @@ mod tests {
         ms.drain_all_messages();
         let (reason, _) = ms.failure().expect("flow dependence must fail");
         assert_eq!(reason.label(), "read_first_after_write");
+        // P0's write miss reads the line in for writing, Fig. 9 (h) then
+        // (j); P1's read miss reads it in, (c) then (e), and fails there.
+        let sites = [
+            RaceSite::PrivH,
+            RaceSite::PrivJ,
+            RaceSite::PrivC,
+            RaceSite::PrivE,
+        ];
+        for site in sites {
+            assert_eq!(ms.stats().get(site.key()), 1, "site {}", site.label());
+        }
     }
 
     #[test]
@@ -2455,6 +2319,17 @@ mod tests {
         let o2 = ms.read(P0, A, 1, o1.complete_at);
         assert!(o2.read_in.is_none());
         assert_eq!(ms.stats().get("priv_read_ins"), 1);
+        // The miss takes Fig. 9 (c) and the read-in (e); the hit read-first
+        // takes (a) at the tags and (b) at the private directory.
+        let sites = [
+            RaceSite::PrivC,
+            RaceSite::PrivE,
+            RaceSite::PrivA,
+            RaceSite::PrivB,
+        ];
+        for site in sites {
+            assert_eq!(ms.stats().get(site.key()), 1, "site {}", site.label());
+        }
     }
 
     #[test]

@@ -25,7 +25,9 @@
 //! state and return what the step obliges — a [`CacheEmission`], a
 //! [`DirEmission`], a [`PrivateEffect`], a signal bit or a [`FailReason`] —
 //! in [`protospec`]'s types, so [`ProtocolSpec`] dispatches to them without
-//! translating. `specrt-proto` executes those steps with message timing,
+//! translating. Each element step also returns the [`RaceSite`] it took:
+//! [`site`] defines the paper's lettered algorithms once, with their trace
+//! labels and counter keys. `specrt-proto` executes those steps with message timing,
 //! `specrt-machine` orchestrates loops, and `specrt-check`'s model checker
 //! enumerates the same steps through millions of interleavings without a
 //! simulator in the loop.
@@ -49,6 +51,7 @@ pub mod plan;
 pub mod privat;
 pub mod privat3;
 pub mod protospec;
+pub mod site;
 pub mod state_cost;
 
 pub use chunking::IterationNumbering;
@@ -68,4 +71,5 @@ pub use protospec::{
     LineCopy, Pcs, PrivateDirElem, PrivateEffect, PrivateEvent, ProtocolSpec, SpecEmission,
     SpecMessage, SpecScope, SpecState, SpecVariant, Written,
 };
+pub use site::RaceSite;
 pub use state_cost::StateCost;

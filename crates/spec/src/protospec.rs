@@ -10,7 +10,8 @@
 //!   [`PrivateDirElem`] of either privatization variant. They dispatch
 //!   straight to the per-variant state machines of [`crate::nonpriv`],
 //!   [`crate::privat`] and [`crate::privat3`], which return this module's
-//!   emission types themselves. `specrt-proto`'s `MemSystem` *executes*
+//!   emission types themselves, and each returns the [`RaceSite`] the
+//!   step took. `specrt-proto`'s `MemSystem` *executes*
 //!   these for its shared- and private-directory stores and cache tags,
 //!   so the simulator and the model checker run literally the same
 //!   transition code; the timing, NUMA and cache-geometry concerns stay
@@ -53,6 +54,7 @@ use crate::nonpriv::{
 };
 use crate::privat::{priv_cache_read, priv_cache_write, PrivPrivateElem, PrivSharedElem};
 use crate::privat3::{PrivNoReadInPrivate, PrivNoReadInShared};
+use crate::site::RaceSite;
 use crate::FailReason;
 
 // ---------------------------------------------------------------------
@@ -139,15 +141,27 @@ pub enum DirEvent {
         /// The update's sender.
         sender: ProcId,
     },
-    /// A read-first signal or read-in request (privatization algorithms
-    /// (d)/(e); `iter` is ignored by the no-read-in variant).
+    /// A read-first signal arriving (privatization algorithm (d); `iter`
+    /// is ignored by the no-read-in variant).
     ReadFirst {
         /// 1-based effective iteration stamp.
         iter: u64,
     },
-    /// A first-write signal or read-in-for-write request (privatization
-    /// algorithms (i)/(j)).
+    /// A read-in request's read-first test (privatization algorithm (e),
+    /// the same test as [`Self::ReadFirst`]).
+    ReadIn {
+        /// 1-based effective iteration stamp.
+        iter: u64,
+    },
+    /// A first-write signal arriving (privatization algorithm (i); `iter`
+    /// is ignored by the no-read-in variant).
     FirstWrite {
+        /// 1-based effective iteration stamp.
+        iter: u64,
+    },
+    /// A read-in-for-write request's first-write test (privatization
+    /// algorithm (j), the same test as [`Self::FirstWrite`]).
+    ReadInForWrite {
         /// 1-based effective iteration stamp.
         iter: u64,
     },
@@ -180,8 +194,6 @@ pub enum CacheEvent {
         /// The writing processor.
         writer: ProcId,
     },
-    /// The tag update completing a granted write (end of algorithm (d)).
-    CompleteWrite,
     /// A `First_update_fail` bounce arriving (algorithm (g)).
     FirstUpdateFail {
         /// The bounced processor.
@@ -202,10 +214,9 @@ pub enum CacheEmission {
     Fail(FailReason),
 }
 
-/// An event at one element of a **private**-copy directory (Fig. 8
-/// algorithms (b), (c), (g), (h)). The no-read-in variant takes only the
-/// two signals (a read or write that reached its private directory) and
-/// ignores their `iter`.
+/// An event at one element of a **private**-copy directory (Fig. 9
+/// algorithms (b), (c), (g), (h)). The no-read-in variant ignores `iter`
+/// and `line_untouched`: it never reads in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrivateEvent {
     /// The cache forwarded a read-first signal (hit path).
@@ -332,125 +343,167 @@ pub struct ProtocolSpec {
 
 impl ProtocolSpec {
     /// **The** directory transition function: one element state × one
-    /// message → new element state × at most one emission. Pure: the
-    /// input is taken by value and the successor returned; the executor
-    /// decides where both live.
+    /// message → new element state × at most one emission, and the race
+    /// site the event takes. Pure: the input is taken by value and the
+    /// successor returned; the executor decides where both live.
     ///
     /// # Panics
     ///
     /// Panics if the event does not apply to the element's protocol
-    /// variant (e.g. a `First_update` at a privatization element) — the
-    /// executor routed a message to the wrong store.
-    pub fn dir_step(mut elem: DirElem, ev: DirEvent) -> (DirElem, Option<DirEmission>) {
-        let tested = match (&mut elem, ev) {
+    /// variant (e.g. a `First_update` at a privatization element, or a
+    /// read-in at a no-read-in element) — the executor routed a message to
+    /// the wrong store.
+    pub fn dir_step(mut elem: DirElem, ev: DirEvent) -> (DirElem, Option<DirEmission>, RaceSite) {
+        let (tested, site) = match (&mut elem, ev) {
             (DirElem::NonPriv(e), DirEvent::FirstUpdate { sender }) => {
                 let em = e.on_first_update(sender);
-                return (elem, em);
+                return (elem, em, RaceSite::NonPrivF);
             }
-            (DirElem::NonPriv(e), DirEvent::ReadReq { from }) => e.on_read_req(from),
-            (DirElem::NonPriv(e), DirEvent::WriteReq { from }) => e.on_write_req(from),
+            (DirElem::NonPriv(e), DirEvent::ReadReq { from }) => {
+                (e.on_read_req(from), RaceSite::NonPrivB)
+            }
+            (DirElem::NonPriv(e), DirEvent::WriteReq { from }) => {
+                (e.on_write_req(from), RaceSite::NonPrivD)
+            }
             (DirElem::NonPriv(e), DirEvent::Writeback { tag, owner }) => {
-                e.merge_writeback(tag, owner)
+                (e.merge_writeback(tag, owner), RaceSite::NonPrivE)
             }
-            (DirElem::NonPriv(e), DirEvent::ROnlyUpdate { sender }) => e.on_r_only_update(sender),
-            (DirElem::Priv(e), DirEvent::ReadFirst { iter }) => e.on_read_first(iter),
-            (DirElem::Priv(e), DirEvent::FirstWrite { iter }) => e.on_first_write(iter),
-            (DirElem::Priv3(e), DirEvent::ReadFirst { .. }) => e.on_read_first(),
-            (DirElem::Priv3(e), DirEvent::FirstWrite { .. }) => e.on_first_write(),
+            (DirElem::NonPriv(e), DirEvent::ROnlyUpdate { sender }) => {
+                (e.on_r_only_update(sender), RaceSite::NonPrivH)
+            }
+            (DirElem::Priv(e), DirEvent::ReadFirst { iter }) => {
+                (e.on_read_first(iter), RaceSite::PrivD)
+            }
+            (DirElem::Priv(e), DirEvent::ReadIn { iter }) => {
+                (e.on_read_first(iter), RaceSite::PrivE)
+            }
+            (DirElem::Priv(e), DirEvent::FirstWrite { iter }) => {
+                (e.on_first_write(iter), RaceSite::PrivI)
+            }
+            (DirElem::Priv(e), DirEvent::ReadInForWrite { iter }) => {
+                (e.on_first_write(iter), RaceSite::PrivJ)
+            }
+            (DirElem::Priv3(e), DirEvent::ReadFirst { .. }) => {
+                (e.on_read_first(), RaceSite::Priv3D)
+            }
+            (DirElem::Priv3(e), DirEvent::FirstWrite { .. }) => {
+                (e.on_first_write(), RaceSite::Priv3I)
+            }
             (elem, ev) => panic!("protocol spec: event {ev:?} does not apply to {elem:?}"),
         };
-        (elem, tested.err().map(DirEmission::Fail))
+        (elem, tested.err().map(DirEmission::Fail), site)
     }
 
     /// The non-privatization cache-tag transition function (algorithms
-    /// (a), (c), (g) and the grant completion of (d)).
+    /// (a), (c) and (g)). A granted write completes its tag with
+    /// [`nonpriv_complete_write`], which takes no decision.
     pub fn cache_step(
         mut tag: ElemTag,
         dirty: bool,
         ev: CacheEvent,
-    ) -> (ElemTag, Option<CacheEmission>) {
-        let em = match ev {
-            CacheEvent::Read { reader } => nonpriv_cache_read(&mut tag, dirty, reader),
-            CacheEvent::Write { writer } => nonpriv_cache_write(&mut tag, dirty, writer),
-            CacheEvent::CompleteWrite => {
-                nonpriv_complete_write(&mut tag);
-                None
-            }
+    ) -> (ElemTag, Option<CacheEmission>, RaceSite) {
+        let (em, site) = match ev {
+            CacheEvent::Read { reader } => (
+                nonpriv_cache_read(&mut tag, dirty, reader),
+                RaceSite::NonPrivA,
+            ),
+            CacheEvent::Write { writer } => (
+                nonpriv_cache_write(&mut tag, dirty, writer),
+                RaceSite::NonPrivC,
+            ),
             CacheEvent::FirstUpdateFail { target } => {
-                nonpriv_on_first_update_fail(&mut tag, target)
+                let em = nonpriv_on_first_update_fail(&mut tag, target)
                     .err()
-                    .map(CacheEmission::Fail)
+                    .map(CacheEmission::Fail);
+                (em, RaceSite::NonPrivG)
             }
         };
-        (tag, em)
+        (tag, em, site)
     }
 
-    /// The privatization cache-tag read step: returns the new tag and
-    /// whether a read-first signal must go to the private directory.
-    pub fn private_cache_read(mut tag: ElemTag) -> (ElemTag, bool) {
-        let signal = priv_cache_read(&mut tag);
-        (tag, signal)
-    }
-
-    /// The privatization cache-tag write step: returns the new tag and
-    /// whether a first-write signal must go to the private directory.
-    pub fn private_cache_write(mut tag: ElemTag) -> (ElemTag, bool) {
-        let signal = priv_cache_write(&mut tag);
-        (tag, signal)
-    }
-
-    /// **The** private-directory transition function: one element × one
-    /// event → new element × effect. The stamped arm marks the element
-    /// touched; the no-read-in arm takes the two signal events and reports
-    /// its local FAIL as [`PrivateEffect::Fail`].
+    /// The privatization cache-tag step of a hit (algorithms (a) and (f),
+    /// which `variant`'s private directory reads alike): returns the new
+    /// tag, whether a read-first (or first-write) signal must go to the
+    /// private directory, and the site.
     ///
     /// # Panics
     ///
-    /// Panics on a miss event at a no-read-in element, whose misses reach
-    /// the private directory as signals.
+    /// Panics under the non-privatization variant, whose tags step through
+    /// [`Self::cache_step`].
+    pub fn private_cache_step(
+        variant: SpecVariant,
+        mut tag: ElemTag,
+        write: bool,
+    ) -> (ElemTag, bool, RaceSite) {
+        let signal = if write {
+            priv_cache_write(&mut tag)
+        } else {
+            priv_cache_read(&mut tag)
+        };
+        let site = match (variant, write) {
+            (SpecVariant::Priv, false) => RaceSite::PrivA,
+            (SpecVariant::Priv, true) => RaceSite::PrivF,
+            (SpecVariant::Priv3, false) => RaceSite::Priv3A,
+            (SpecVariant::Priv3, true) => RaceSite::Priv3F,
+            (SpecVariant::NonPriv, _) => panic!("private cache step under non-privatization"),
+        };
+        (tag, signal, site)
+    }
+
+    /// **The** private-directory transition function: one element × one
+    /// event → new element × effect, and the race site the event takes.
+    /// The stamped arm marks the element touched; the no-read-in arm runs
+    /// the same bit test for a signal and a miss, and reports its local
+    /// FAIL as [`PrivateEffect::Fail`].
     pub fn private_dir_step(
         elem: PrivateDirElem,
         ev: PrivateEvent,
-    ) -> (PrivateDirElem, PrivateEffect) {
+    ) -> (PrivateDirElem, PrivateEffect, RaceSite) {
         match elem {
             PrivateDirElem::Priv { mut elem, .. } => {
-                let effect = match ev {
-                    PrivateEvent::ReadFirstSignal { iter } => elem.on_read_first_signal(iter),
+                let (effect, site) = match ev {
+                    PrivateEvent::ReadFirstSignal { iter } => {
+                        (elem.on_read_first_signal(iter), RaceSite::PrivB)
+                    }
                     PrivateEvent::ReadMiss {
                         iter,
                         line_untouched,
-                    } => elem.on_read_miss(iter, line_untouched),
-                    PrivateEvent::FirstWriteSignal { iter } => elem.on_first_write_signal(iter),
+                    } => (elem.on_read_miss(iter, line_untouched), RaceSite::PrivC),
+                    PrivateEvent::FirstWriteSignal { iter } => {
+                        (elem.on_first_write_signal(iter), RaceSite::PrivG)
+                    }
                     PrivateEvent::WriteMiss {
                         iter,
                         line_untouched,
-                    } => elem.on_write_miss(iter, line_untouched),
+                    } => (elem.on_write_miss(iter, line_untouched), RaceSite::PrivH),
                 };
-                (
-                    PrivateDirElem::Priv {
-                        elem,
-                        touched: true,
-                    },
-                    effect,
-                )
+                let elem = PrivateDirElem::Priv {
+                    elem,
+                    touched: true,
+                };
+                (elem, effect, site)
             }
             PrivateDirElem::Priv3(mut e) => {
-                let effect = match ev {
-                    PrivateEvent::ReadFirstSignal { .. } => match e.on_read() {
+                let (write, site) = match ev {
+                    PrivateEvent::ReadFirstSignal { .. } => (false, RaceSite::Priv3B),
+                    PrivateEvent::ReadMiss { .. } => (false, RaceSite::Priv3C),
+                    PrivateEvent::FirstWriteSignal { .. } => (true, RaceSite::Priv3G),
+                    PrivateEvent::WriteMiss { .. } => (true, RaceSite::Priv3H),
+                };
+                let effect = if write {
+                    if e.on_write() {
+                        PrivateEffect::SignalFirstWrite
+                    } else {
+                        PrivateEffect::None
+                    }
+                } else {
+                    match e.on_read() {
                         Ok(true) => PrivateEffect::SignalReadFirst,
                         Ok(false) => PrivateEffect::None,
                         Err(reason) => PrivateEffect::Fail(reason),
-                    },
-                    PrivateEvent::FirstWriteSignal { .. } => {
-                        if e.on_write() {
-                            PrivateEffect::SignalFirstWrite
-                        } else {
-                            PrivateEffect::None
-                        }
                     }
-                    miss => panic!("protocol spec: {miss:?} at a no-read-in private directory"),
                 };
-                (PrivateDirElem::Priv3(e), effect)
+                (PrivateDirElem::Priv3(e), effect, site)
             }
         }
     }
@@ -503,8 +556,9 @@ pub const MAX_PROCS: u16 = 4;
 /// of [`MAX_PROCS`] processors. A longer run panics on the ninth message
 /// instead of growing.
 pub const MAX_INFLIGHT: usize = 8;
-/// Most emissions of one step: two access-site race marks, one per drained
-/// in-flight message, one per merged write-back element, and one `Fail`.
+/// Most emissions of one step: the access's two element-step sites, one
+/// site per drained in-flight message, one per merged write-back element,
+/// and one `Fail`.
 const MAX_EMISSIONS: usize = 2 + MAX_INFLIGHT + MAX_ELEMS as usize + 1;
 
 /// The emissions of one [`ProtocolSpec::step`].
@@ -699,8 +753,8 @@ pub enum SpecMessage {
 /// Observable side effects of one system-layer step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpecEmission {
-    /// Race-case site `'a' + .0` was exercised (coverage accounting).
-    Race(u8),
+    /// An element step took this race site (coverage accounting).
+    Race(RaceSite),
     /// The dependence test failed (the new state has `failed` set).
     Fail(FailReason),
 }
@@ -861,7 +915,7 @@ impl ProtocolSpec {
     /// a send past [`MAX_INFLIGHT`] messages.
     pub fn step(&self, s: &SpecState, m: &SpecMessage) -> (SpecState, Emissions, Written) {
         let mut next = Successor::new(*s);
-        let mut em = Emissions::filled(SpecEmission::Race(0), 0);
+        let mut em = Emissions::filled(SpecEmission::Race(RaceSite::ALL[0]), 0);
         match *m {
             SpecMessage::Access { proc, write, elem } => {
                 assert!(elem < self.scope.elems, "element {elem} out of scope");
@@ -915,10 +969,12 @@ impl ProtocolSpec {
         em.push(SpecEmission::Fail(reason));
     }
 
-    /// Applies a directory step to `s.dir[elem]`, translating emissions.
+    /// Applies a directory step to `s.dir[elem]`, emitting its site and
+    /// translating its emission.
     fn dir_step_at(&self, s: &mut Successor, em: &mut Emissions, elem: u16, ev: DirEvent) {
-        let (next, emission) = ProtocolSpec::dir_step(s.dir[elem as usize], ev);
+        let (next, emission, site) = ProtocolSpec::dir_step(s.dir[elem as usize], ev);
         s.set_dir(elem, next);
+        em.push(SpecEmission::Race(site));
         match emission {
             None => {}
             Some(DirEmission::SendFirstUpdateFail { target }) => s.push_flight(Flight {
@@ -951,7 +1007,6 @@ impl ProtocolSpec {
         line: u16,
     ) {
         for (off, elem) in self.scope.line_range(line).enumerate() {
-            em.push(SpecEmission::Race(4)); // (e)
             self.dir_step_at(
                 s,
                 em,
@@ -986,59 +1041,31 @@ impl ProtocolSpec {
     /// Delivers in-flight message `i`.
     fn deliver(&self, s: &mut Successor, em: &mut Emissions, i: usize) {
         let f = s.remove_flight(i);
-        match f.msg {
-            FlightMsg::FirstUpdate { elem } => {
-                em.push(SpecEmission::Race(5)); // (f)
-                self.dir_step_at(
-                    s,
-                    em,
-                    elem,
-                    DirEvent::FirstUpdate {
-                        sender: ProcId(f.src as u32),
-                    },
-                );
-            }
-            FlightMsg::ROnlyUpdate { elem } => {
-                em.push(SpecEmission::Race(7)); // (h)
-                self.dir_step_at(
-                    s,
-                    em,
-                    elem,
-                    DirEvent::ROnlyUpdate {
-                        sender: ProcId(f.src as u32),
-                    },
-                );
-            }
+        let sender = ProcId(f.src as u32);
+        let (elem, ev) = match f.msg {
+            FlightMsg::FirstUpdate { elem } => (elem, DirEvent::FirstUpdate { sender }),
+            FlightMsg::ROnlyUpdate { elem } => (elem, DirEvent::ROnlyUpdate { sender }),
+            FlightMsg::ReadFirst { elem, iter } => (elem, DirEvent::ReadFirst { iter }),
+            FlightMsg::FirstWrite { elem, iter } => (elem, DirEvent::FirstWrite { iter }),
             FlightMsg::FirstUpdateFail { elem, target } => {
-                em.push(SpecEmission::Race(6)); // (g)
                 let line = self.scope.line_of(elem);
                 let off = (elem - self.scope.line_range(line).start) as usize;
                 let ci = self.scope.copy_index(target, line);
-                if let Some(copy) = s.copy_mut(ci) {
-                    let (tag, emission) = ProtocolSpec::cache_step(
-                        copy.tags.get(off),
-                        copy.dirty,
-                        CacheEvent::FirstUpdateFail {
-                            target: ProcId(target as u32),
-                        },
-                    );
-                    *copy.tags.get_mut(off) = tag;
-                    if let Some(CacheEmission::Fail(reason)) = emission {
-                        self.fail(s, em, reason);
-                    }
-                }
+                let ev = CacheEvent::FirstUpdateFail {
+                    target: ProcId(target as u32),
+                };
                 // A displaced line already reconciled via its write-back
                 // merge; the bounce is dropped, as in the executor.
+                let step = |t, dirty| ProtocolSpec::cache_step(t, dirty, ev);
+                if let Some(Some(CacheEmission::Fail(reason))) =
+                    Self::tag_step_at(s, em, ci, off, step)
+                {
+                    self.fail(s, em, reason);
+                }
+                return;
             }
-            FlightMsg::ReadFirst { elem, iter } => {
-                em.push(SpecEmission::Race(3)); // (d): delivered read-first
-                self.dir_step_at(s, em, elem, DirEvent::ReadFirst { iter });
-            }
-            FlightMsg::FirstWrite { elem, iter } => {
-                em.push(SpecEmission::Race(7)); // (h): delivered first-write
-                self.dir_step_at(s, em, elem, DirEvent::FirstWrite { iter });
-            }
-        }
+        };
+        self.dir_step_at(s, em, elem, ev);
     }
 
     /// Projects the directory's element states into `viewer`'s line tags
@@ -1068,17 +1095,11 @@ impl ProtocolSpec {
         match (resident, write) {
             (true, false) => {
                 // Hit read — algorithm (a).
-                em.push(SpecEmission::Race(0));
-                let copy = s.copy_mut(ci).expect("resident");
-                let (tag, emission) = ProtocolSpec::cache_step(
-                    copy.tags.get(off),
-                    copy.dirty,
-                    CacheEvent::Read {
-                        reader: ProcId(proc as u32),
-                    },
-                );
-                *copy.tags.get_mut(off) = tag;
-                match emission {
+                let ev = CacheEvent::Read {
+                    reader: ProcId(proc as u32),
+                };
+                let step = |t, dirty| ProtocolSpec::cache_step(t, dirty, ev);
+                match Self::tag_step_at(s, em, ci, off, step).expect("resident") {
                     None => {}
                     Some(CacheEmission::SendFirstUpdate) => s.push_flight(Flight {
                         src: proc,
@@ -1094,7 +1115,6 @@ impl ProtocolSpec {
             }
             (false, false) => {
                 // Read miss — algorithm (b).
-                em.push(SpecEmission::Race(1));
                 self.drain_own(s, em, proc, line);
                 if s.failed {
                     return;
@@ -1121,20 +1141,13 @@ impl ProtocolSpec {
             }
             (true, true) => {
                 // Hit write — algorithm (c), upgrading via (d) if clean.
-                em.push(SpecEmission::Race(2));
-                let copy = s.copy_mut(ci).expect("resident");
-                let (tag, emission) = ProtocolSpec::cache_step(
-                    copy.tags.get(off),
-                    copy.dirty,
-                    CacheEvent::Write {
-                        writer: ProcId(proc as u32),
-                    },
-                );
-                *copy.tags.get_mut(off) = tag;
-                match emission {
+                let ev = CacheEvent::Write {
+                    writer: ProcId(proc as u32),
+                };
+                let step = |t, dirty| ProtocolSpec::cache_step(t, dirty, ev);
+                match Self::tag_step_at(s, em, ci, off, step).expect("resident") {
                     None => {}
                     Some(CacheEmission::NeedWriteReq) => {
-                        em.push(SpecEmission::Race(3));
                         self.drain_own(s, em, proc, line);
                         if s.failed {
                             return;
@@ -1149,7 +1162,6 @@ impl ProtocolSpec {
             }
             (false, true) => {
                 // Write miss — algorithm (d).
-                em.push(SpecEmission::Race(3));
                 self.drain_own(s, em, proc, line);
                 if s.failed {
                     return;
@@ -1194,8 +1206,7 @@ impl ProtocolSpec {
             },
         );
         let mut tags = self.project(s, line, proc);
-        let (tag, _) = ProtocolSpec::cache_step(tags.get(off), true, CacheEvent::CompleteWrite);
-        *tags.get_mut(off) = tag;
+        nonpriv_complete_write(tags.get_mut(off));
         let ci = self.scope.copy_index(proc, line);
         s.set_copy(ci, LineCopy { dirty: true, tags });
     }
@@ -1220,18 +1231,57 @@ impl ProtocolSpec {
         tags
     }
 
-    /// Applies a private-directory step at `(proc, elem)`.
+    /// Applies a private-directory step at `(proc, elem)`, emitting its
+    /// site.
     fn private_step_at(
         &self,
         s: &mut Successor,
+        em: &mut Emissions,
         proc: u16,
         elem: u16,
         ev: PrivateEvent,
     ) -> PrivateEffect {
         let pi = self.scope.pdir_index(proc, elem);
-        let (next, effect) = ProtocolSpec::private_dir_step(s.pdir[pi], ev);
+        let (next, effect, site) = ProtocolSpec::private_dir_step(s.pdir[pi], ev);
         s.set_pdir(pi, next);
+        em.push(SpecEmission::Race(site));
         effect
+    }
+
+    /// Runs a cache-tag step (`step` of the tag and the copy's dirty bit)
+    /// on the tag at `off` of copy `ci`, emitting its site; `None` when
+    /// the copy is absent.
+    fn tag_step_at<T>(
+        s: &mut Successor,
+        em: &mut Emissions,
+        ci: usize,
+        off: usize,
+        step: impl FnOnce(ElemTag, bool) -> (ElemTag, T, RaceSite),
+    ) -> Option<T> {
+        let copy = s.copy_mut(ci)?;
+        let (tag, out, site) = step(copy.tags.get(off), copy.dirty);
+        *copy.tags.get_mut(off) = tag;
+        em.push(SpecEmission::Race(site));
+        Some(out)
+    }
+
+    /// Steps the tag at `off` of the resident private copy `ci` through a
+    /// hit (dirtying the copy on a write), emitting the site; returns
+    /// whether the private directory must be signalled.
+    fn private_hit(
+        &self,
+        s: &mut Successor,
+        em: &mut Emissions,
+        ci: usize,
+        off: usize,
+        write: bool,
+    ) -> bool {
+        let step = |t, _| ProtocolSpec::private_cache_step(self.variant, t, write);
+        let signal = Self::tag_step_at(s, em, ci, off, step).expect("resident");
+        if write {
+            s.copy_mut(ci).expect("resident").dirty = true;
+        }
+        signal
     }
 
     fn priv_access(
@@ -1252,13 +1302,10 @@ impl ProtocolSpec {
             (true, false) => {
                 // Hit read — algorithm (a): signal on first read of the
                 // iteration.
-                em.push(SpecEmission::Race(0));
-                let copy = s.copy_mut(ci).expect("resident");
-                let (tag, signal) = ProtocolSpec::private_cache_read(copy.tags.get(off));
-                *copy.tags.get_mut(off) = tag;
-                if signal {
+                if self.private_hit(s, em, ci, off, false) {
                     self.private_step_at(
                         s,
+                        em,
                         proc,
                         elem,
                         PrivateEvent::ReadFirstSignal { iter: eff },
@@ -1271,10 +1318,10 @@ impl ProtocolSpec {
             }
             (false, false) => {
                 // Read miss — algorithm (c): read-in / read-first / plain.
-                em.push(SpecEmission::Race(1));
                 let untouched = self.line_untouched(s, proc, line);
                 let effect = self.private_step_at(
                     s,
+                    em,
                     proc,
                     elem,
                     PrivateEvent::ReadMiss {
@@ -1286,12 +1333,11 @@ impl ProtocolSpec {
                 s.set_copy(ci, LineCopy { dirty: false, tags });
                 match effect {
                     PrivateEffect::TestReadFirst => {
-                        em.push(SpecEmission::Race(2)); // (c): read-in test
                         self.drain_own(s, em, proc, line);
                         if s.failed {
                             return;
                         }
-                        self.dir_step_at(s, em, elem, DirEvent::ReadFirst { iter: eff });
+                        self.dir_step_at(s, em, elem, DirEvent::ReadIn { iter: eff });
                     }
                     PrivateEffect::SignalReadFirst => s.push_flight(Flight {
                         src: proc,
@@ -1302,15 +1348,11 @@ impl ProtocolSpec {
                 }
             }
             (true, true) => {
-                // Hit write — algorithm (g), with a local upgrade if clean.
-                em.push(SpecEmission::Race(4)); // (e): hit write
-                let copy = s.copy_mut(ci).expect("resident");
-                let (tag, signal) = ProtocolSpec::private_cache_write(copy.tags.get(off));
-                *copy.tags.get_mut(off) = tag;
-                copy.dirty = true;
-                if signal {
+                // Hit write — algorithm (f), with a local upgrade if clean.
+                if self.private_hit(s, em, ci, off, true) {
                     let effect = self.private_step_at(
                         s,
+                        em,
                         proc,
                         elem,
                         PrivateEvent::FirstWriteSignal { iter: eff },
@@ -1325,10 +1367,10 @@ impl ProtocolSpec {
             }
             (false, true) => {
                 // Write miss — algorithm (h).
-                em.push(SpecEmission::Race(5)); // (f): write miss
                 let untouched = self.line_untouched(s, proc, line);
                 let effect = self.private_step_at(
                     s,
+                    em,
                     proc,
                     elem,
                     PrivateEvent::WriteMiss {
@@ -1341,12 +1383,11 @@ impl ProtocolSpec {
                 s.set_copy(ci, LineCopy { dirty: true, tags });
                 match effect {
                     PrivateEffect::TestFirstWrite => {
-                        em.push(SpecEmission::Race(6)); // (g): read-in for write
                         self.drain_own(s, em, proc, line);
                         if s.failed {
                             return;
                         }
-                        self.dir_step_at(s, em, elem, DirEvent::FirstWrite { iter: eff });
+                        self.dir_step_at(s, em, elem, DirEvent::ReadInForWrite { iter: eff });
                     }
                     PrivateEffect::SignalFirstWrite => s.push_flight(Flight {
                         src: proc,
@@ -1373,20 +1414,8 @@ impl ProtocolSpec {
         let ci = self.scope.copy_index(proc, line);
         let resident = s.copies[ci].is_some();
         let signal = if resident {
-            em.push(SpecEmission::Race(if write { 4 } else { 0 })); // (e) / (a)
-            let copy = s.copy_mut(ci).expect("resident");
-            let (tag, signal) = if write {
-                ProtocolSpec::private_cache_write(copy.tags.get(off))
-            } else {
-                ProtocolSpec::private_cache_read(copy.tags.get(off))
-            };
-            *copy.tags.get_mut(off) = tag;
-            if write {
-                copy.dirty = true;
-            }
-            signal
+            self.private_hit(s, em, ci, off, write)
         } else {
-            em.push(SpecEmission::Race(if write { 5 } else { 1 })); // (f) / (b)
             let mut tags = self.private_project(s, proc, line);
             if write {
                 tags.get_mut(off).set_write(true);
@@ -1395,16 +1424,23 @@ impl ProtocolSpec {
             true // the private directory decides below
         };
         if signal {
-            em.push(SpecEmission::Race(if write { 6 } else { 2 })); // (g) / (c)
             let iter = ProtocolSpec::stamp(proc);
-            let ev = if write {
-                PrivateEvent::FirstWriteSignal { iter }
-            } else {
-                PrivateEvent::ReadFirstSignal { iter }
+            let line_untouched = false;
+            let ev = match (write, resident) {
+                (false, true) => PrivateEvent::ReadFirstSignal { iter },
+                (false, false) => PrivateEvent::ReadMiss {
+                    iter,
+                    line_untouched,
+                },
+                (true, true) => PrivateEvent::FirstWriteSignal { iter },
+                (true, false) => PrivateEvent::WriteMiss {
+                    iter,
+                    line_untouched,
+                },
             };
             // The shared directory's no-read-in test ignores stamps; the
             // signals carry 1.
-            let msg = match self.private_step_at(s, proc, elem, ev) {
+            let msg = match self.private_step_at(s, em, proc, elem, ev) {
                 PrivateEffect::None => return,
                 PrivateEffect::SignalReadFirst => FlightMsg::ReadFirst { elem, iter: 1 },
                 PrivateEffect::SignalFirstWrite => FlightMsg::FirstWrite { elem, iter: 1 },
@@ -1446,7 +1482,7 @@ mod tests {
     fn first_update_race_bounces() {
         let mut e = NonPrivDirElem::default();
         e.on_first_update(ProcId(0));
-        let (_, em) = ProtocolSpec::dir_step(
+        let (_, em, site) = ProtocolSpec::dir_step(
             DirElem::NonPriv(e),
             DirEvent::FirstUpdate { sender: ProcId(1) },
         );
@@ -1454,6 +1490,39 @@ mod tests {
             em,
             Some(DirEmission::SendFirstUpdateFail { target: ProcId(1) })
         );
+        assert_eq!(site, RaceSite::NonPrivF);
+    }
+
+    #[test]
+    fn signals_and_read_ins_share_a_test_but_not_a_site() {
+        // Fig. 9 (d)/(e) and (i)/(j): one stamp test each, two letters.
+        let mut e = PrivSharedElem::default();
+        e.on_first_write(3).unwrap();
+        let elem = DirElem::Priv(e);
+        let pairs = [
+            (
+                DirEvent::ReadFirst { iter: 5 },
+                DirEvent::ReadIn { iter: 5 },
+            ),
+            (
+                DirEvent::FirstWrite { iter: 2 },
+                DirEvent::ReadInForWrite { iter: 2 },
+            ),
+        ];
+        let mut sites = Vec::new();
+        for (signal, read_in) in pairs {
+            let (a, a_em, a_site) = ProtocolSpec::dir_step(elem, signal);
+            let (b, b_em, b_site) = ProtocolSpec::dir_step(elem, read_in);
+            assert_eq!((a, a_em), (b, b_em));
+            sites.extend([a_site, b_site]);
+        }
+        let want = [
+            RaceSite::PrivD,
+            RaceSite::PrivE,
+            RaceSite::PrivI,
+            RaceSite::PrivJ,
+        ];
+        assert_eq!(sites, want);
     }
 
     #[test]
@@ -1465,8 +1534,11 @@ mod tests {
             iter: 2,
             line_untouched: true,
         };
-        let (e, effect) = ProtocolSpec::private_dir_step(fresh, ev);
-        assert_eq!(effect, PrivateEffect::TestFirstWrite);
+        let (e, effect, site) = ProtocolSpec::private_dir_step(fresh, ev);
+        assert_eq!(
+            (effect, site),
+            (PrivateEffect::TestFirstWrite, RaceSite::PrivH)
+        );
         assert!(e.touched());
         assert!(e.refill_tag(2).write() && !e.refill_tag(3).write());
 
@@ -1475,9 +1547,12 @@ mod tests {
             PrivateEvent::ReadFirstSignal { iter: 1 },
             PrivateEvent::FirstWriteSignal { iter: 1 },
         );
-        let (e, effect) =
+        let (e, effect, site) =
             ProtocolSpec::private_dir_step(PrivateDirElem::new(SpecVariant::Priv3), write);
-        assert_eq!(effect, PrivateEffect::SignalFirstWrite);
+        assert_eq!(
+            (effect, site),
+            (PrivateEffect::SignalFirstWrite, RaceSite::Priv3G)
+        );
         assert!(e.refill_tag(7).write(), "no-read-in bits ignore stamps");
         assert_eq!(
             ProtocolSpec::private_dir_step(e, write).1,
@@ -1494,13 +1569,33 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no-read-in private directory")]
-    fn private_dir_step_rejects_a_miss_without_read_in() {
-        let ev = PrivateEvent::ReadMiss {
-            iter: 1,
-            line_untouched: true,
-        };
-        ProtocolSpec::private_dir_step(PrivateDirElem::new(SpecVariant::Priv3), ev);
+    fn no_read_in_misses_run_the_signal_test_under_their_own_site() {
+        // Fig. 9 (c) and (h) on §4.1's bits: a miss never reads in, and
+        // steps the bits exactly as the hit's signal does.
+        let fresh = PrivateDirElem::new(SpecVariant::Priv3);
+        let cases = [
+            (
+                PrivateEvent::ReadFirstSignal { iter: 1 },
+                PrivateEvent::ReadMiss {
+                    iter: 1,
+                    line_untouched: true,
+                },
+                RaceSite::Priv3C,
+            ),
+            (
+                PrivateEvent::FirstWriteSignal { iter: 1 },
+                PrivateEvent::WriteMiss {
+                    iter: 1,
+                    line_untouched: true,
+                },
+                RaceSite::Priv3H,
+            ),
+        ];
+        for (signal, miss, site) in cases {
+            let (a, a_effect, _) = ProtocolSpec::private_dir_step(fresh, signal);
+            let (b, b_effect, b_site) = ProtocolSpec::private_dir_step(fresh, miss);
+            assert_eq!((a, a_effect, site), (b, b_effect, b_site));
+        }
     }
 
     #[test]

@@ -59,8 +59,12 @@ pub enum TraceEvent {
         queue: Cycles,
         /// Completion time.
         complete: Cycles,
-        /// Which of the paper's protocol algorithms (a)–(h) the access
-        /// took, when one beyond a plain hit/refill applied.
+        /// The label of the first race site the access took itself
+        /// (`specrt_spec::RaceSite::label`): `a`–`h` for Figs. 6–7, `9a`–`9j`
+        /// for Fig. 9, `4.1a`… for the no-read-in variant of §4.1. A message
+        /// the access drains first never names it; a miss that merges a
+        /// dirty owner's line names that write-back merge (`e`). `None` on
+        /// arrays outside the speculation test.
         case: Option<&'static str>,
     },
     /// A per-element speculative state transition observed at the

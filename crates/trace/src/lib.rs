@@ -12,8 +12,9 @@
 //! first-class events rather than ad-hoc prints:
 //!
 //! - **protocol transactions** entering `MemSystem::read`/`write` (hit
-//!   level, home node, directory-bank queueing delay, which of the paper's
-//!   algorithms (a)–(h) the access took),
+//!   level, home node, directory-bank queueing delay, and the first of the
+//!   paper's lettered race sites the access took: Figs. 6–7, Fig. 9 or
+//!   §4.1),
 //! - **speculative state transitions** per element (`NoShr`/`ROnly`/`First`
 //!   for the non-privatization protocol of Fig. 6–7, `MaxR1st`/`MinW` stamp
 //!   movement for the privatization protocol of Fig. 8–9),

@@ -53,7 +53,10 @@ fn track_paired_instance_abort_point_is_pinned() {
 fn p3m_first_invocation_hw_is_pinned() {
     // The no-read-in privatization path: every iteration writes the
     // privatized workspace, so the per-iteration reset of the private
-    // directory's Read1st/Write bits runs on every processor.
+    // directory's Read1st/Write bits runs on every processor. The
+    // `race_case_4.1*` lines count §4.1's sites: hits at the tags (a, f),
+    // writes at the private directory (g, h) and delivered first-write
+    // signals (i); no iteration reads the workspace first.
     let w = p3m::workload(Scale::Smoke);
     let hw = run_scenario(&w.invocations[0], Scenario::Hw, w.procs);
     assert_eq!(hw.passed, Some(true));
@@ -65,6 +68,11 @@ fn p3m_first_invocation_hw_is_pinned() {
          owner_fetches: 219\n\
          priv_first_write_shared: 5746\n\
          priv_first_write_signals: 5746\n\
+         race_case_4.1a: 6786\n\
+         race_case_4.1f: 5762\n\
+         race_case_4.1g: 5762\n\
+         race_case_4.1h: 1024\n\
+         race_case_4.1i: 5746\n\
          transactions: 1748\n\
          update_messages: 5746\n\
          upgrades: 1\n",
