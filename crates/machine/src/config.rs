@@ -153,10 +153,13 @@ impl MachineConfig {
     /// (`mem.retry.max_retries`).
     pub const MAX_RETRANSMISSIONS: u32 = 16;
 
-    /// Largest accepted first watchdog timeout (`mem.retry.timeout`), in
-    /// cycles. The wait doubles per retransmission, so with
+    /// Largest accepted duration, in cycles: every latency, service time,
+    /// overhead and delay, and the first watchdog timeout
+    /// (`mem.retry.timeout`). Simulated time sums such durations, so the
+    /// bound keeps its `Cycles` arithmetic far from `u64` overflow. The
+    /// watchdog wait doubles per retransmission, so with
     /// [`Self::MAX_RETRANSMISSIONS`] the longest wait is 2^48 cycles and one
-    /// message's waits sum to less than 2^49: far from `u64` overflow.
+    /// message's waits sum to less than 2^49.
     pub const MAX_RETRY_TIMEOUT: u64 = 1 << 32;
 
     /// Checks that a machine can be built from this configuration: the
@@ -164,8 +167,10 @@ impl MachineConfig {
     /// levels and the directory banks are non-zero and within their
     /// bounds, L2 is a multiple of L1 (inclusion with direct mapping), the
     /// write buffer and the checkpoint cadence are non-zero, the retry
-    /// budgets and the watchdog timeout are within their bounds, and the
-    /// fault rates are in range.
+    /// budgets and every duration are within their bounds, and the fault
+    /// rates are in range. Time points and windows (the node fault's
+    /// activation cycle and outage length) only enter comparisons and stay
+    /// unbounded.
     ///
     /// # Errors
     ///
@@ -227,12 +232,35 @@ impl MachineConfig {
                 Self::MAX_RETRANSMISSIONS
             ));
         }
-        if m.retry.timeout > Self::MAX_RETRY_TIMEOUT {
-            return Err(format!(
-                "retry.timeout={} out of range (accepted range: 0..={})",
-                m.retry.timeout,
-                Self::MAX_RETRY_TIMEOUT
-            ));
+        let lat = &m.latency;
+        let durations = [
+            ("retry.timeout", m.retry.timeout),
+            ("l1_hit", lat.l1_hit),
+            ("l2_hit", lat.l2_hit),
+            ("local_mem", lat.local_mem),
+            ("remote_2hop", lat.remote_2hop),
+            ("remote_3hop", lat.remote_3hop),
+            ("owner_fetch_extra", lat.owner_fetch_extra),
+            ("invalidate_extra", lat.invalidate_extra),
+            ("net_oneway", lat.net_oneway),
+            ("mem_service", lat.mem_service),
+            ("update_service", lat.update_service),
+            ("hop_latency", m.net.hop_latency),
+            ("link_service", m.net.link_service),
+            ("delay_cycles", m.net.faults.delay_cycles),
+            ("barrier_overhead", self.barrier_overhead),
+            ("sched_static_overhead", self.sched_static_overhead),
+            ("sched_lock_hold", self.sched_lock_hold),
+            ("abort_latency", self.abort_latency),
+            ("iter_reset_cost", self.iter_reset_cost),
+        ];
+        for (name, cycles) in durations {
+            if cycles > Self::MAX_RETRY_TIMEOUT {
+                return Err(format!(
+                    "{name}={cycles} out of range (accepted range: 0..={})",
+                    Self::MAX_RETRY_TIMEOUT
+                ));
+            }
         }
         m.net.faults.validate()
     }
@@ -286,6 +314,45 @@ mod tests {
         assert!(with(&|c| c.mem.retry.max_retries = 70).is_err());
         assert!(with(&|c| c.mem.retry.timeout = (1 << 32) + 1).is_err());
         assert!(with(&|c| c.mem.retry.timeout = u64::MAX).is_err());
+        // Every other duration shares the timeout's bound: a larger one
+        // would overflow the cycle arithmetic.
+        let durations: [fn(&mut MachineConfig, u64); 18] = [
+            |c, v| c.mem.latency.l1_hit = v,
+            |c, v| c.mem.latency.l2_hit = v,
+            |c, v| c.mem.latency.local_mem = v,
+            |c, v| c.mem.latency.remote_2hop = v,
+            |c, v| c.mem.latency.remote_3hop = v,
+            |c, v| c.mem.latency.owner_fetch_extra = v,
+            |c, v| c.mem.latency.invalidate_extra = v,
+            |c, v| c.mem.latency.net_oneway = v,
+            |c, v| c.mem.latency.mem_service = v,
+            |c, v| c.mem.latency.update_service = v,
+            |c, v| c.mem.net.hop_latency = v,
+            |c, v| c.mem.net.link_service = v,
+            |c, v| c.mem.net.faults.delay_cycles = v,
+            |c, v| c.barrier_overhead = v,
+            |c, v| c.sched_static_overhead = v,
+            |c, v| c.sched_lock_hold = v,
+            |c, v| c.abort_latency = v,
+            |c, v| c.iter_reset_cost = v,
+        ];
+        for set in durations {
+            for v in [(1 << 32) + 1, 1 << 63, u64::MAX] {
+                let err = with(&|c| set(c, v)).unwrap_err();
+                assert!(err.contains(&format!("={v} out of range")), "{err}");
+            }
+            assert_eq!(with(&|c| set(c, 1 << 32)), Ok(()));
+        }
+        // Time points and windows stay unbounded: the campaign's "never"
+        // fires at `i64::MAX`.
+        let never = specrt_proto::NodeFaultConfig {
+            kind: specrt_proto::NodeFaultKind::Pause {
+                for_cycles: u64::MAX,
+            },
+            node: 1,
+            at_cycle: i64::MAX as u64,
+        };
+        assert_eq!(with(&|c| c.mem.net.faults.node_fault = Some(never)), Ok(()));
         // A zero write buffer can take no store, and a zero checkpoint
         // cadence leaves no iterations to run between checkpoints.
         assert!(with(&|c| c.write_buffer = 0).is_err());

@@ -430,10 +430,10 @@ fn override_at_most(v: &Json, key: &str, max: u32) -> Result<u32, String> {
 ///
 /// The result must pass [`MachineConfig::validate`]: zero, oversized or
 /// non-inclusive cache and bank geometry (`l1_lines`, `l2_lines`,
-/// `dir_banks`), a zero `write_buffer` or `checkpoint_every`, and retry
-/// budgets or a watchdog timeout above their bounds
-/// (`retry_speculative`, `retry_max_retries`, `retry_timeout`) are
-/// errors, never clamped or truncated.
+/// `dir_banks`), a zero `write_buffer` or `checkpoint_every`, retry
+/// budgets above their bounds (`retry_speculative`, `retry_max_retries`),
+/// and a latency, overhead, delay or watchdog timeout above 2^32 cycles
+/// are errors, never clamped or truncated.
 pub fn apply_overrides(cfg: &mut MachineConfig, overrides: &Json) -> Result<(), String> {
     let fields = match overrides {
         Json::Obj(fields) => fields,

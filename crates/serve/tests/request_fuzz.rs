@@ -211,6 +211,18 @@ fn out_of_range_configs_are_rejected_and_the_service_survives() {
         r#"{"retry_timeout":18446744073709551615,"drop_ppm":1000000}"#,
         r#"{"write_buffer":0}"#,
         r#"{"checkpoint_every":0}"#,
+        // Durations past 2^32 cycles would overflow the cycle arithmetic.
+        r#"{"local_mem":18446744073709551615}"#,
+        r#"{"net_oneway":18446744073709551615}"#,
+        r#"{"net_oneway":9223372036854775808}"#,
+        r#"{"l1_hit":4294967297}"#,
+        r#"{"mem_service":18446744073709551615}"#,
+        r#"{"topology":"mesh","hop_latency":18446744073709551615}"#,
+        r#"{"topology":"mesh","link_service":4294967297}"#,
+        r#"{"delay_ppm":1000,"delay_cycles":18446744073709551615}"#,
+        r#"{"barrier_overhead":18446744073709551615}"#,
+        r#"{"abort_latency":4294967297}"#,
+        r#"{"iter_reset_cost":18446744073709551615}"#,
     ];
     let core = ServeCore::new(ServeConfig {
         workers: 1,
@@ -226,7 +238,7 @@ fn out_of_range_configs_are_rejected_and_the_service_survives() {
         input.push_str(&format!("{{\"id\":{},\"op\":\"ping\"}}\n", id + 1));
     }
     input.push_str(
-        r#"{"id":99,"op":"case","seed":2,"protocol":"hw-nonpriv","config":{"retry_speculative":16,"retry_max_retries":16,"retry_timeout":4294967296,"drop_ppm":1000000}}"#,
+        r#"{"id":99,"op":"case","seed":2,"protocol":"hw-nonpriv","config":{"retry_speculative":16,"retry_max_retries":16,"retry_timeout":4294967296,"barrier_overhead":4294967296,"drop_ppm":1000000}}"#,
     );
     input.push('\n');
     let mut out: Vec<u8> = Vec::new();
