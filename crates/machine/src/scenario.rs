@@ -489,7 +489,7 @@ fn restore_phase(spec: &LoopSpec, m: &mut Machine, backup: &Backup, winners: &Wi
         copy_phase(m, backup_id(arr), arr, spec.array(arr).backup_elems());
     }
     for &arr in &backup.sparse {
-        let count = winners.keys().filter(|(a, _)| *a == arr).count() as u64;
+        let count = winners.range((arr, 0)..=(arr, u64::MAX)).count() as u64;
         if count > 0 {
             // Timing: copy `count` saved elements back; functionally the
             // snapshot below reinstates the exact old values.
