@@ -10,7 +10,7 @@ use specrt_engine::Cycles;
 use specrt_ir::ArrayId;
 use specrt_mem::{ElemSize, PlacementPolicy, ProcId};
 use specrt_proto::{MemSystem, MemSystemConfig, NetConfig, NullSink, Tracer};
-use specrt_spec::{IterationNumbering, ProtocolKind, TestPlan};
+use specrt_spec::{IterationNumbering, SpecVariant, TestPlan};
 
 const A: ArrayId = ArrayId(0);
 
@@ -65,7 +65,7 @@ fn main() {
 
     let baseline = {
         let mut plan = TestPlan::new();
-        plan.set(A, ProtocolKind::NonPriv);
+        plan.set(A, SpecVariant::NonPriv);
         let mut ms = fresh(plan);
         ms.read(ProcId(0), A, 0, Cycles(0));
         let mut t = 1u64;
@@ -77,13 +77,7 @@ fn main() {
 
     {
         let mut plan = TestPlan::new();
-        plan.set(
-            A,
-            ProtocolKind::Priv {
-                read_in: false,
-                copy_out: false,
-            },
-        );
+        plan.set(A, SpecVariant::Priv3);
         let mut ms = fresh(plan);
         ms.begin_iteration(ProcId(0), 0);
         ms.write(ProcId(0), A, 0, Cycles(0));
@@ -102,7 +96,7 @@ fn main() {
     // should be indistinguishable — the hot path only checks a flag.
     let traced_off = {
         let mut plan = TestPlan::new();
-        plan.set(A, ProtocolKind::NonPriv);
+        plan.set(A, SpecVariant::NonPriv);
         let mut ms = fresh(plan);
         ms.read(ProcId(0), A, 0, Cycles(0));
         let mut t = 1u64;
@@ -113,7 +107,7 @@ fn main() {
     };
     let traced_null = {
         let mut plan = TestPlan::new();
-        plan.set(A, ProtocolKind::NonPriv);
+        plan.set(A, SpecVariant::NonPriv);
         let mut ms = fresh(plan);
         ms.set_tracer(Tracer::new(Box::new(NullSink)));
         ms.read(ProcId(0), A, 0, Cycles(0));
@@ -153,7 +147,7 @@ fn bench_prof_overhead(baseline: &specrt_bench::harness::Measurement) {
     );
     let prof_off = {
         let mut plan = TestPlan::new();
-        plan.set(A, ProtocolKind::NonPriv);
+        plan.set(A, SpecVariant::NonPriv);
         let mut ms = fresh(plan);
         ms.read(ProcId(0), A, 0, Cycles(0));
         let mut t = 1u64;
@@ -178,7 +172,7 @@ fn bench_prof_overhead(baseline: &specrt_bench::harness::Measurement) {
     specrt_prof::set_enabled(true);
     let prof_on = {
         let mut plan = TestPlan::new();
-        plan.set(A, ProtocolKind::NonPriv);
+        plan.set(A, SpecVariant::NonPriv);
         let mut ms = fresh(plan);
         ms.read(ProcId(0), A, 0, Cycles(0));
         let mut t = 1u64;

@@ -27,14 +27,14 @@ use specrt_engine::Cycles;
 use specrt_ir::ArrayId;
 use specrt_mem::{ElemSize, PlacementPolicy, ProcId};
 use specrt_proto::{MemSystem, MemSystemConfig};
-use specrt_spec::{IterationNumbering, ProtocolKind, TestPlan};
+use specrt_spec::{IterationNumbering, SpecVariant, TestPlan};
 use specrt_trace::export::jsonl;
 
 const A: ArrayId = ArrayId(0);
 const P0: ProcId = ProcId(0);
 const P1: ProcId = ProcId(1);
 
-fn system(protocol: ProtocolKind) -> MemSystem {
+fn system(protocol: SpecVariant) -> MemSystem {
     let mut ms = MemSystem::new(MemSystemConfig {
         procs: 2,
         ..MemSystemConfig::default()
@@ -55,7 +55,7 @@ fn system(protocol: ProtocolKind) -> MemSystem {
 /// directory and sets `NoShr`. The late update then arrives at a
 /// write-marked element — algorithm (f) FAILs the speculation.
 fn nonpriv_first_update_race() -> Vec<specrt_trace::TraceEvent> {
-    let mut ms = system(ProtocolKind::NonPriv);
+    let mut ms = system(SpecVariant::NonPriv);
     let mut now = Cycles(0);
     let out = ms.read(P1, A, 0, now);
     now = out.complete_at + Cycles(1);
@@ -71,10 +71,7 @@ fn nonpriv_first_update_race() -> Vec<specrt_trace::TraceEvent> {
 /// iteration consuming an earlier iteration's value. The shared directory's
 /// read-first test (`iter > MinW`) FAILs the speculation.
 fn priv_read_first_after_write() -> Vec<specrt_trace::TraceEvent> {
-    let mut ms = system(ProtocolKind::Priv {
-        read_in: true,
-        copy_out: true,
-    });
+    let mut ms = system(SpecVariant::Priv);
     let mut now = Cycles(0);
     ms.begin_iteration(P0, 0);
     let out = ms.write(P0, A, 3, now);
@@ -90,10 +87,7 @@ fn priv_read_first_after_write() -> Vec<specrt_trace::TraceEvent> {
 /// line is still cached, so the hit's read-first signal reaches the
 /// private directory, which FAILs at once instead of forwarding it.
 fn priv3_read_first_after_own_write() -> Vec<specrt_trace::TraceEvent> {
-    let mut ms = system(ProtocolKind::Priv {
-        read_in: false,
-        copy_out: false,
-    });
+    let mut ms = system(SpecVariant::Priv3);
     ms.begin_iteration(P0, 0);
     let now = ms.write(P0, A, 1, Cycles(0)).complete_at + Cycles(1);
     ms.begin_iteration(P0, 1);
@@ -109,7 +103,7 @@ fn priv3_read_first_after_own_write() -> Vec<specrt_trace::TraceEvent> {
 /// bounces the other with a `First_update_fail`, which marks the element
 /// read-shared in the loser's tag. Nobody wrote, so the loop passes.
 fn nonpriv_first_update_bounce() -> Vec<specrt_trace::TraceEvent> {
-    let mut ms = system(ProtocolKind::NonPriv);
+    let mut ms = system(SpecVariant::NonPriv);
     let mut now = Cycles(0);
     for (proc, idx) in [(P1, 0), (P0, 1), (P1, 2), (P0, 2)] {
         now = ms.read(proc, A, idx, now).complete_at + Cycles(1);

@@ -12,7 +12,7 @@ use specrt_engine::Cycles;
 use specrt_ir::ArrayId;
 use specrt_mem::{ElemSize, PlacementPolicy, ProcId};
 use specrt_proto::{MemSystem, MemSystemConfig};
-use specrt_spec::{IterationNumbering, ProtocolKind, TestPlan};
+use specrt_spec::{IterationNumbering, SpecVariant, TestPlan};
 use specrt_trace::export::jsonl;
 
 const A: ArrayId = ArrayId(0);
@@ -28,7 +28,7 @@ fn replay() -> Vec<specrt_trace::TraceEvent> {
     });
     ms.alloc_array(A, 8, ElemSize::W8, PlacementPolicy::RoundRobin);
     let mut plan = TestPlan::new();
-    plan.set(A, ProtocolKind::NonPriv);
+    plan.set(A, SpecVariant::NonPriv);
     ms.configure_loop(plan, IterationNumbering::iteration_wise());
     ms.enable_event_trace(256);
 

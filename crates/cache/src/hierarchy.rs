@@ -142,9 +142,6 @@ pub struct CacheHierarchy {
     /// reset costs O(lines touched) instead of O(resident lines).
     touched: Vec<usize>,
     listed: Vec<u64>,
-    l1_hits: u64,
-    l2_hits: u64,
-    misses: u64,
 }
 
 impl CacheHierarchy {
@@ -171,9 +168,6 @@ impl CacheHierarchy {
             lines: IdMap::default(),
             touched: Vec::new(),
             listed: vec![0; config.l2_lines.div_ceil(64)],
-            l1_hits: 0,
-            l2_hits: 0,
-            misses: 0,
         }
     }
 
@@ -193,25 +187,15 @@ impl CacheHierarchy {
     /// level that satisfied the access; on `Miss` the caller must run a
     /// coherence transaction and then [`fill`](Self::fill).
     pub fn access(&mut self, line: LineAddr) -> HitLevel {
-        match self.probe(line) {
-            HitLevel::L1 => {
-                self.l1_hits += 1;
-                HitLevel::L1
-            }
-            HitLevel::L2 => {
-                self.l2_hits += 1;
-                // Promote; the L1 victim is still in L2 (inclusion), so no
-                // external write-back happens here.
-                if let Some(prev) = self.l1.install(line) {
-                    debug_assert!(self.l2.holds(prev), "inclusion violated for {prev}");
-                }
-                HitLevel::L2
-            }
-            HitLevel::Miss => {
-                self.misses += 1;
-                HitLevel::Miss
+        let level = self.probe(line);
+        if level == HitLevel::L2 {
+            // Promote; the L1 victim is still in L2 (inclusion), so no
+            // external write-back happens here.
+            if let Some(prev) = self.l1.install(line) {
+                debug_assert!(self.l2.holds(prev), "inclusion violated for {prev}");
             }
         }
+        level
     }
 
     /// Installs `line` in both levels after a coherence transaction.
@@ -368,18 +352,13 @@ impl CacheHierarchy {
         }
     }
 
-    /// `(l1_hits, l2_hits, misses)` counters since construction/reset.
-    pub fn hit_stats(&self) -> (u64, u64, u64) {
-        (self.l1_hits, self.l2_hits, self.misses)
-    }
-
     /// Number of resident lines.
     pub fn resident_lines(&self) -> usize {
         self.lines.len()
     }
 
     /// Returns the hierarchy to its just-constructed state — slots empty,
-    /// no line state or tags, hit counters zeroed — while keeping the slot
+    /// no line state or tags — while keeping the slot
     /// vectors and map capacity allocated: the machine pool recycles
     /// hierarchies across runs instead of building new ones.
     ///
@@ -398,9 +377,6 @@ impl CacheHierarchy {
         );
         self.lines.clear();
         self.unlist_all();
-        self.l1_hits = 0;
-        self.l2_hits = 0;
-        self.misses = 0;
     }
 
     /// The entry of a resident line. The map's keys are exactly the L2
@@ -453,7 +429,6 @@ mod tests {
         c.fill(line, LineState::Clean, LineTags::empty());
         assert_eq!(c.access(line), HitLevel::L1);
         assert_eq!(c.state_of(line), Some(LineState::Clean));
-        assert_eq!(c.hit_stats(), (1, 0, 1));
     }
 
     #[test]

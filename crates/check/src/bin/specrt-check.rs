@@ -70,11 +70,6 @@ use specrt_machine::{CheckpointConfig, RecoveryPolicy};
 use specrt_proto::FaultConfig;
 use specrt_spec::{fault, RaceSite, SpecScope, SpecVariant};
 
-/// Race sites the model reaches that the machine cannot, each with the
-/// reason `coverage` prints instead of failing. Empty: the fuzzer reaches
-/// every site.
-const MACHINE_UNREACHABLE: [(RaceSite, &str); 0] = [];
-
 /// Space-separated trace labels of `sites`.
 fn labels(sites: &[RaceSite]) -> String {
     let labels: Vec<&str> = sites.iter().map(|s| s.label()).collect();
@@ -460,21 +455,12 @@ fn cmd_coverage(args: &Args) -> ExitCode {
                 labels(&model.coverage.unvisited())
             );
         }
-        let mut missed = Vec::new();
         let counts = model.coverage.counts.into_iter().zip(fuzz.counts);
-        for (site, (in_model, in_fuzz)) in RaceSite::of(variant).zip(counts) {
-            if in_model == 0 || in_fuzz > 0 {
-                continue;
-            }
-            match MACHINE_UNREACHABLE.iter().find(|(s, _)| *s == site) {
-                Some((_, why)) => println!(
-                    "fuzz {}: {} unreachable: {why}",
-                    variant.name(),
-                    site.label()
-                ),
-                None => missed.push(site),
-            }
-        }
+        let missed: Vec<RaceSite> = RaceSite::of(variant)
+            .zip(counts)
+            .filter(|&(_, (in_model, in_fuzz))| in_model > 0 && in_fuzz == 0)
+            .map(|(site, _)| site)
+            .collect();
         if !missed.is_empty() {
             passed = false;
             println!(

@@ -24,7 +24,7 @@ use specrt_machine::{
 };
 use specrt_mem::MemoryImage;
 use specrt_proto::{FaultConfig, NetConfig, NodeFaultConfig, NodeFaultKind};
-use specrt_spec::{fault, ProtocolKind};
+use specrt_spec::{fault, SpecVariant};
 
 use crate::generate::{CaseSpec, ARR_A, ARR_OUT};
 
@@ -117,16 +117,7 @@ fn recovery_label(r: RecoveryPolicy) -> String {
 }
 
 /// The two hardware protocols every case runs under.
-const PROTOCOLS: [(&str, ProtocolKind); 2] = [
-    ("nonpriv", ProtocolKind::NonPriv),
-    (
-        "priv",
-        ProtocolKind::Priv {
-            read_in: true,
-            copy_out: true,
-        },
-    ),
-];
+const PROTOCOLS: [SpecVariant; 2] = [SpecVariant::NonPriv, SpecVariant::Priv];
 
 /// Aggregate outcome of one campaign cell (kind × rate × fault seed).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -428,7 +419,7 @@ fn machine_cfg(procs: u32, recovery: RecoveryPolicy, faults: FaultConfig) -> Mac
         .with_recovery(recovery)
 }
 
-fn hw_run(case: &CaseSpec, protocol: ProtocolKind, cfg: MachineConfig) -> RunResult {
+fn hw_run(case: &CaseSpec, protocol: SpecVariant, cfg: MachineConfig) -> RunResult {
     run_scenario_configured(&case.loop_spec(protocol, true), Scenario::Hw, cfg)
 }
 
@@ -456,14 +447,14 @@ pub fn run_campaign(cfg: &CampaignConfig, jobs: usize) -> CampaignReport {
         let _guard = injected.map(fault::Injected::new);
         let case = CaseSpec::generate(seed);
         let serial = run_scenario_configured(
-            &case.loop_spec(ProtocolKind::NonPriv, true),
+            &case.loop_spec(SpecVariant::NonPriv, true),
             Scenario::Serial,
             machine_cfg(case.procs, recovery, FaultConfig::none()),
         )
         .final_image;
         let fault_free = PROTOCOLS
             .iter()
-            .map(|&(_, protocol)| {
+            .map(|&protocol| {
                 let r = hw_run(
                     &case,
                     protocol,
@@ -514,7 +505,7 @@ pub fn run_campaign(cfg: &CampaignConfig, jobs: usize) -> CampaignReport {
         };
         for b in &baselines {
             let faults = cell_faults(kind, rate_ppm, fault_seed, b.case.seed);
-            for (pi, &(_, protocol)) in PROTOCOLS.iter().enumerate() {
+            for (pi, &protocol) in PROTOCOLS.iter().enumerate() {
                 let r = hw_run(
                     &b.case,
                     protocol,
@@ -555,14 +546,14 @@ pub fn run_campaign(cfg: &CampaignConfig, jobs: usize) -> CampaignReport {
                     let _guard = injected.map(fault::Injected::new);
                     let case = CaseSpec::generate(seed);
                     let serial = run_scenario_configured(
-                        &case.loop_spec(ProtocolKind::NonPriv, true),
+                        &case.loop_spec(SpecVariant::NonPriv, true),
                         Scenario::Serial,
                         machine_cfg(case.procs, node_recovery, FaultConfig::none()),
                     )
                     .final_image;
                     let fault_free = PROTOCOLS
                         .iter()
-                        .map(|&(_, protocol)| {
+                        .map(|&protocol| {
                             let r = hw_run(
                                 &case,
                                 protocol,
@@ -612,7 +603,7 @@ pub fn run_campaign(cfg: &CampaignConfig, jobs: usize) -> CampaignReport {
                     // case.
                     let node = node.min(b.case.procs - 1);
                     let faults = node_cell_faults(kind, node, at_cycle);
-                    for (pi, &(_, protocol)) in PROTOCOLS.iter().enumerate() {
+                    for (pi, &protocol) in PROTOCOLS.iter().enumerate() {
                         let r = hw_run(
                             &b.case,
                             protocol,
@@ -773,24 +764,17 @@ mod tests {
         // cleared stamps erased the conflict evidence — a silently wrong
         // image.  Every template must match the serial oracle even when
         // the run is chopped into tiny checkpoint windows.
-        use specrt_spec::ProtocolKind;
         for seed in 9u64..12 {
             let case = CaseSpec::generate(seed);
             let recovery = RecoveryPolicy::CheckpointRestart {
                 checkpoint: CheckpointConfig { every_iters: 4 },
             };
             let serial = run_scenario_configured(
-                &case.loop_spec(ProtocolKind::NonPriv, true),
+                &case.loop_spec(SpecVariant::NonPriv, true),
                 Scenario::Serial,
                 machine_cfg(case.procs, recovery, FaultConfig::none()),
             );
-            for protocol in [
-                ProtocolKind::NonPriv,
-                ProtocolKind::Priv {
-                    read_in: true,
-                    copy_out: true,
-                },
-            ] {
+            for protocol in [SpecVariant::NonPriv, SpecVariant::Priv] {
                 let r = hw_run(
                     &case,
                     protocol,

@@ -670,7 +670,7 @@ pub fn hash_machine_config_into(h: &mut CanonHasher, cfg: &MachineConfig) {
 }
 
 /// Hashes a protocol-variant label (the serving layer's `protocol` request
-/// field, e.g. `"hw-nonpriv"`). A label, not the `ProtocolKind` enum,
+/// field, e.g. `"hw-nonpriv"`). A label, not the `SpecVariant` enum,
 /// because one request protocol also selects live-value handling and the
 /// checked image set in `run_case`.
 pub fn hash_protocol_into(h: &mut CanonHasher, protocol: &str) {

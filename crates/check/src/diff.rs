@@ -29,7 +29,7 @@ use specrt_machine::{
     RunResult, Scenario, SwVariant,
 };
 use specrt_proto::{FaultConfig, NetConfig, NodeFaultConfig, NodeFaultKind};
-use specrt_spec::ProtocolKind;
+use specrt_spec::SpecVariant;
 
 use crate::campaign::NODE_OUTAGE_CYCLES;
 use crate::generate::{CaseSpec, ARR_A, ARR_OUT};
@@ -181,7 +181,7 @@ pub fn run_case(case: &CaseSpec) -> CaseResult {
     let mut stats = StatSet::new();
 
     let serial = run_scenario(
-        &case.loop_spec(ProtocolKind::NonPriv, true),
+        &case.loop_spec(SpecVariant::NonPriv, true),
         Scenario::Serial,
         case.procs,
     );
@@ -190,7 +190,7 @@ pub fn run_case(case: &CaseSpec) -> CaseResult {
     // every written element on a single processor (the envelope). Dynamic
     // schedules have no static assignment — image check only.
     let np = run_scenario(
-        &case.loop_spec(ProtocolKind::NonPriv, true),
+        &case.loop_spec(SpecVariant::NonPriv, true),
         Scenario::Hw,
         case.procs,
     );
@@ -211,13 +211,7 @@ pub fn run_case(case: &CaseSpec) -> CaseResult {
     // flow dependence (read-first after an earlier iteration's write).
     let verdict = analyze_iteration_traces(&traces);
     let pv = run_scenario(
-        &case.loop_spec(
-            ProtocolKind::Priv {
-                read_in: true,
-                copy_out: true,
-            },
-            true,
-        ),
+        &case.loop_spec(SpecVariant::Priv, true),
         Scenario::Hw,
         case.procs,
     );
@@ -235,13 +229,7 @@ pub fn run_case(case: &CaseSpec) -> CaseResult {
     // dead after the loop (no copy-out), so only the plain output array is
     // compared against serial.
     let p3 = run_scenario(
-        &case.loop_spec(
-            ProtocolKind::Priv {
-                read_in: false,
-                copy_out: false,
-            },
-            false,
-        ),
+        &case.loop_spec(SpecVariant::Priv3, false),
         Scenario::Hw,
         case.procs,
     );
@@ -257,13 +245,7 @@ pub fn run_case(case: &CaseSpec) -> CaseResult {
 
     // Software LRPD baseline, iteration-wise stamps.
     let sw = run_scenario(
-        &case.loop_spec(
-            ProtocolKind::Priv {
-                read_in: true,
-                copy_out: true,
-            },
-            true,
-        ),
+        &case.loop_spec(SpecVariant::Priv, true),
         Scenario::Sw(SwVariant::IterationWise),
         case.procs,
     );
@@ -297,7 +279,7 @@ pub fn node_fault_legs(case: &CaseSpec) -> Vec<Mismatch> {
             .with_net(NetConfig::flat().with_faults(faults))
             .with_recovery(recovery)
     };
-    let spec = case.loop_spec(ProtocolKind::NonPriv, true);
+    let spec = case.loop_spec(SpecVariant::NonPriv, true);
     let serial = run_scenario_configured(&spec, Scenario::Serial, cfg(FaultConfig::none()));
     let fault_free = run_scenario_configured(&spec, Scenario::Hw, cfg(FaultConfig::none()));
     let at_cycle = fault_free.total_cycles.raw() / 2;

@@ -16,7 +16,7 @@ use specrt_engine::SplitMix64;
 use specrt_ir::{ArrayId, BinOp, Operand, Program, ProgramBuilder};
 use specrt_machine::{ArrayDecl, LoopSpec, ScheduleKind};
 use specrt_mem::ElemSize;
-use specrt_spec::{IterationNumbering, ProtocolKind, TestPlan};
+use specrt_spec::{IterationNumbering, SpecVariant, TestPlan};
 
 /// The array under the run-time test.
 pub const ARR_A: ArrayId = ArrayId(0);
@@ -125,7 +125,7 @@ impl CaseSpec {
     /// Expands the case to a [`LoopSpec`] putting [`ARR_A`] under
     /// `protocol`. `live` controls whether `ARR_A` is in `live_after`
     /// (read-in-free privatization requires it dead after the loop).
-    pub fn loop_spec(&self, protocol: ProtocolKind, live: bool) -> LoopSpec {
+    pub fn loop_spec(&self, protocol: SpecVariant, live: bool) -> LoopSpec {
         let mut plan = TestPlan::new();
         plan.set(ARR_A, protocol);
         let mut live_after = vec![ARR_OUT];

@@ -86,7 +86,7 @@ fn assert_witness_catches(file: &str, fault: FaultKind) {
 #[test]
 fn drop_ronly_witness_is_caught_late_by_the_verdict_merge() {
     use specrt_machine::{run_scenario, Scenario};
-    use specrt_spec::ProtocolKind;
+    use specrt_spec::SpecVariant;
 
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus");
     let text = std::fs::read_to_string(dir.join("drop-ronly-witness.seed")).unwrap();
@@ -99,7 +99,7 @@ fn drop_ronly_witness_is_caught_late_by_the_verdict_merge() {
         "verdict-merge backstop must keep the witness oracle-clean under injection"
     );
     let np = run_scenario(
-        &case.loop_spec(ProtocolKind::NonPriv, true),
+        &case.loop_spec(SpecVariant::NonPriv, true),
         Scenario::Hw,
         case.procs,
     );
@@ -120,7 +120,7 @@ fn drop_ronly_witness_is_caught_late_by_the_verdict_merge() {
 #[test]
 fn hide_a_conflict_witness_fails_only_at_the_verdict_merge() {
     use specrt_machine::{run_scenario, Scenario};
-    use specrt_spec::ProtocolKind;
+    use specrt_spec::SpecVariant;
 
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus");
     let text = std::fs::read_to_string(dir.join("hide-a-conflict-witness.seed")).unwrap();
@@ -129,7 +129,7 @@ fn hide_a_conflict_witness_fails_only_at_the_verdict_merge() {
 
     assert!(run_case(&case).ok(), "witness must agree with the oracle");
     let np = run_scenario(
-        &case.loop_spec(ProtocolKind::NonPriv, true),
+        &case.loop_spec(SpecVariant::NonPriv, true),
         Scenario::Hw,
         case.procs,
     );

@@ -8,7 +8,7 @@
 
 use specrt_check::{run_case, CaseSpec, ARR_A, ARR_OUT};
 use specrt_machine::{pool, run_scenario_configured, MachineConfig, RunResult, Scenario};
-use specrt_spec::ProtocolKind;
+use specrt_spec::SpecVariant;
 
 /// One comparable fingerprint of everything a run result observes.
 fn fingerprint(r: &RunResult) -> String {
@@ -35,25 +35,11 @@ fn pooled_rerun_is_cycle_and_value_identical() {
     for seed in [0, 3, 5, 0x5eed, 0xfeed_f00d] {
         let case = CaseSpec::generate(seed);
         for (scenario, protocol, live) in [
-            (Scenario::Serial, ProtocolKind::NonPriv, true),
-            (Scenario::Hw, ProtocolKind::NonPriv, true),
-            (
-                Scenario::Hw,
-                ProtocolKind::Priv {
-                    read_in: true,
-                    copy_out: true,
-                },
-                true,
-            ),
-            (
-                Scenario::Hw,
-                ProtocolKind::Priv {
-                    read_in: false,
-                    copy_out: false,
-                },
-                false,
-            ),
-            (Scenario::Ideal, ProtocolKind::NonPriv, true),
+            (Scenario::Serial, SpecVariant::NonPriv, true),
+            (Scenario::Hw, SpecVariant::NonPriv, true),
+            (Scenario::Hw, SpecVariant::Priv, true),
+            (Scenario::Hw, SpecVariant::Priv3, false),
+            (Scenario::Ideal, SpecVariant::NonPriv, true),
         ] {
             let spec = case.loop_spec(protocol, live);
             let cfg = MachineConfig::with_procs(case.procs);

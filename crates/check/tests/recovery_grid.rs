@@ -23,7 +23,7 @@ use specrt_machine::{
     run_scenario_configured, CheckpointConfig, MachineConfig, RecoveryPolicy, RunResult, Scenario,
 };
 use specrt_proto::{FaultConfig, NetConfig, NodeFaultConfig, NodeFaultKind, TraceEvent};
-use specrt_spec::ProtocolKind;
+use specrt_spec::SpecVariant;
 
 /// The policies of the grid with the digest pinned for each.
 const POLICIES: [(RecoveryPolicy, u64); 4] = [
@@ -46,13 +46,7 @@ const POLICIES: [(RecoveryPolicy, u64); 4] = [
     ),
 ];
 
-const PROTOCOLS: [ProtocolKind; 2] = [
-    ProtocolKind::NonPriv,
-    ProtocolKind::Priv {
-        read_in: true,
-        copy_out: true,
-    },
-];
+const PROTOCOLS: [SpecVariant; 2] = [SpecVariant::NonPriv, SpecVariant::Priv];
 
 const FAULTS: [&str; 5] = ["none", "drop", "crash", "pause", "partition"];
 

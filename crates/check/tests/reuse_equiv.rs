@@ -22,7 +22,7 @@ use specrt_machine::{
     pool, run_scenario_configured, CheckpointConfig, MachineConfig, RecoveryPolicy, Scenario,
 };
 use specrt_proto::{FaultConfig, NetConfig, NodeFaultConfig, NodeFaultKind};
-use specrt_spec::ProtocolKind;
+use specrt_spec::SpecVariant;
 
 fn corpus_seeds() -> Vec<u64> {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus");
@@ -52,7 +52,7 @@ fn canonical(seed: u64) -> String {
     let mut cfg = MachineConfig::with_procs(case.procs);
     cfg.trace_capacity = 1 << 14;
     let np = run_scenario_configured(
-        &case.loop_spec(ProtocolKind::NonPriv, true),
+        &case.loop_spec(SpecVariant::NonPriv, true),
         Scenario::Hw,
         cfg,
     );
@@ -114,13 +114,7 @@ fn cross_config_warm_up(seeds: &[u64]) {
             }),
         ];
         for cfg in configs {
-            for protocol in [
-                ProtocolKind::NonPriv,
-                ProtocolKind::Priv {
-                    read_in: true,
-                    copy_out: true,
-                },
-            ] {
+            for protocol in [SpecVariant::NonPriv, SpecVariant::Priv] {
                 let _ = run_scenario_configured(&case.loop_spec(protocol, true), Scenario::Hw, cfg);
             }
         }

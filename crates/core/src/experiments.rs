@@ -233,12 +233,6 @@ pub fn fig12_from(results: &[LoopResults]) -> Vec<Fig12Row> {
         .collect()
 }
 
-/// Runs and summarizes Figure 12, with the scenario runs distributed over
-/// `jobs` workers.
-pub fn fig12_jobs(scale: Scale, jobs: usize) -> Vec<Fig12Row> {
-    fig12_from(&evaluate_all_jobs(scale, jobs))
-}
-
 // ----------------------------------------------------------------------
 // Figure 13: slowdown due to failure
 // ----------------------------------------------------------------------
@@ -410,7 +404,7 @@ fn read_first_heavy_loop(iters: u64) -> specrt_machine::LoopSpec {
     use specrt_ir::{ArrayId, BinOp, Operand, ProgramBuilder, Scalar};
     use specrt_machine::{ArrayDecl, LoopSpec, ScheduleKind};
     use specrt_mem::ElemSize;
-    use specrt_spec::{IterationNumbering, ProtocolKind, TestPlan};
+    use specrt_spec::{IterationNumbering, SpecVariant, TestPlan};
 
     let w = ArrayId(0);
     let out = ArrayId(1);
@@ -430,13 +424,7 @@ fn read_first_heavy_loop(iters: u64) -> specrt_machine::LoopSpec {
     b.compute(30);
     let body = b.build().expect("read-first loop verifies");
     let mut plan = TestPlan::new();
-    plan.set(
-        w,
-        ProtocolKind::Priv {
-            read_in: true,
-            copy_out: false,
-        },
-    );
+    plan.set(w, SpecVariant::Priv);
     LoopSpec {
         name: "read-first-heavy".into(),
         body,

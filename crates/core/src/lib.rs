@@ -39,6 +39,7 @@ pub mod experiments;
 pub mod report;
 
 use specrt_machine::{run_scenario, LoopSpec, RunResult, Scenario, SwVariant};
+use specrt_proto::SharerSet;
 
 pub use specrt_machine::{ArrayDecl, MachineConfig, Scenario as MachineScenario, ScheduleKind};
 
@@ -90,9 +91,14 @@ impl SpeculativeRuntime {
     ///
     /// # Panics
     ///
-    /// Panics if `procs` is zero or exceeds 256.
+    /// Panics if `procs` is zero or exceeds the directory's full-map
+    /// presence mask of [`SharerSet::MAX_PROCS`] (64) processors.
     pub fn new(procs: u32) -> Self {
-        assert!(procs > 0 && procs <= 256, "1..=256 processors supported");
+        assert!(
+            procs > 0 && procs <= SharerSet::MAX_PROCS,
+            "1..={} processors supported",
+            SharerSet::MAX_PROCS
+        );
         SpeculativeRuntime { procs }
     }
 
@@ -157,5 +163,11 @@ mod tests {
     #[should_panic(expected = "processors supported")]
     fn zero_procs_rejected() {
         SpeculativeRuntime::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "1..=64 processors supported")]
+    fn sixty_five_procs_rejected() {
+        SpeculativeRuntime::new(65);
     }
 }

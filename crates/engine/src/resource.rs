@@ -99,11 +99,6 @@ impl BankedResource {
         }
     }
 
-    /// Number of banks.
-    pub fn bank_count(&self) -> usize {
-        self.banks.len()
-    }
-
     /// Reserves the bank selected by `key` (hashed modulo bank count).
     pub fn acquire(&mut self, key: u64, now: Cycles, service: Cycles) -> Cycles {
         let idx = (key % self.banks.len() as u64) as usize;

@@ -194,11 +194,6 @@ impl ProgramBuilder {
         dst
     }
 
-    /// Appends a load into an existing register.
-    pub fn load_into(&mut self, dst: Reg, arr: ArrayId, idx: Operand) -> &mut Self {
-        self.push(Instr::Load { dst, arr, idx })
-    }
-
     /// Appends a store.
     pub fn store(&mut self, arr: ArrayId, idx: Operand, src: Operand) -> &mut Self {
         self.push(Instr::Store { arr, idx, src })
@@ -209,11 +204,6 @@ impl ProgramBuilder {
         let dst = self.reg();
         self.push(Instr::Mov { dst, src });
         dst
-    }
-
-    /// Appends a move into an existing register.
-    pub fn mov_into(&mut self, dst: Reg, src: Operand) -> &mut Self {
-        self.push(Instr::Mov { dst, src })
     }
 
     /// Appends a binary op into a fresh register and returns it.

@@ -113,7 +113,7 @@ pub fn instrument_for_proc(body: &Program, cfg: &InstrumentConfig, proc: ProcId)
 
     for instr in body.instrs() {
         match *instr {
-            Instr::Load { dst, arr, idx } if cfg.plan.kind_of(arr).is_under_test() => {
+            Instr::Load { dst, arr, idx } if cfg.plan.variant_of(arr).is_some() => {
                 // If the load overwrites its own index register, preserve
                 // the index for the marking block.
                 let idx = if idx == Operand::Reg(dst) {
@@ -136,7 +136,7 @@ pub fn instrument_for_proc(body: &Program, cfg: &InstrumentConfig, proc: ProcId)
                     emit_markread(&mut out, &sh, idx_reg, t, s1, s2);
                 }
             }
-            Instr::Store { arr, idx, src } if cfg.plan.kind_of(arr).is_under_test() => {
+            Instr::Store { arr, idx, src } if cfg.plan.variant_of(arr).is_some() => {
                 let idx_reg = materialize_index(&mut out, idx, ri);
                 let target = redirect(arr, &cfg.plan, proc);
                 out.push(Instr::Store {
@@ -170,7 +170,7 @@ pub fn instrument_for_proc(body: &Program, cfg: &InstrumentConfig, proc: ProcId)
 }
 
 fn redirect(arr: ArrayId, plan: &TestPlan, proc: ProcId) -> ArrayId {
-    if plan.kind_of(arr).is_privatized() {
+    if plan.privatizes(arr) {
         sw_private_copy_id(arr, proc)
     } else {
         arr
@@ -184,7 +184,7 @@ fn expanded_len(instr: &Instr, cfg: &InstrumentConfig) -> usize {
         (MARKREAD_LEN, MARKWRITE_LEN)
     };
     match instr {
-        Instr::Load { dst, arr, idx } if cfg.plan.kind_of(*arr).is_under_test() => {
+        Instr::Load { dst, arr, idx } if cfg.plan.variant_of(*arr).is_some() => {
             let idx_cost = if *idx == Operand::Reg(*dst) {
                 1
             } else {
@@ -192,7 +192,7 @@ fn expanded_len(instr: &Instr, cfg: &InstrumentConfig) -> usize {
             };
             idx_cost + 1 + mr
         }
-        Instr::Store { arr, idx, .. } if cfg.plan.kind_of(*arr).is_under_test() => {
+        Instr::Store { arr, idx, .. } if cfg.plan.variant_of(*arr).is_some() => {
             index_cost(idx) + 1 + mw
         }
         _ => 1,
@@ -596,7 +596,7 @@ fn highest_reg(i: &Instr) -> Option<u8> {
 mod tests {
     use super::*;
     use specrt_ir::{execute_iteration, MemOracle, ProgramBuilder, Scalar};
-    use specrt_spec::ProtocolKind;
+    use specrt_spec::SpecVariant;
 
     use crate::algorithm::{LrpdOutcome, LrpdShadow};
     use crate::shadow::CNT_LEN;
@@ -616,7 +616,7 @@ mod tests {
 
     fn nonpriv_cfg() -> InstrumentConfig {
         let mut plan = TestPlan::new();
-        plan.set(A, ProtocolKind::NonPriv);
+        plan.set(A, SpecVariant::NonPriv);
         InstrumentConfig {
             plan,
             numbering: IterationNumbering::iteration_wise(),
@@ -715,13 +715,7 @@ mod tests {
     fn privatized_arrays_are_redirected() {
         let body = subscripted_body();
         let mut plan = TestPlan::new();
-        plan.set(
-            A,
-            ProtocolKind::Priv {
-                read_in: false,
-                copy_out: false,
-            },
-        );
+        plan.set(A, SpecVariant::Priv3);
         let cfg = InstrumentConfig {
             plan,
             numbering: IterationNumbering::iteration_wise(),

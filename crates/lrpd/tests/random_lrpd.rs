@@ -12,7 +12,7 @@ use specrt_lrpd::{
     OracleVerdict, ShadowIds,
 };
 use specrt_mem::ProcId;
-use specrt_spec::{IterationNumbering, ProtocolKind, TestPlan};
+use specrt_spec::{IterationNumbering, SpecVariant, TestPlan};
 
 /// One iteration's accesses: (element, is_write) in program order.
 type IterTrace = Vec<(u64, bool)>;
@@ -195,7 +195,7 @@ fn instrumented_marks_agree_with_reference() {
         let (kvals, wflags) = random_kvals_wflags(&mut rng);
         let iters = (kvals.len() / 2) as u64;
         let mut plan = TestPlan::new();
-        plan.set(A, ProtocolKind::NonPriv);
+        plan.set(A, SpecVariant::NonPriv);
         let cfg = InstrumentConfig {
             plan,
             numbering: IterationNumbering::iteration_wise(),
@@ -245,7 +245,7 @@ fn bitmap_marks_agree_with_superiteration_reference() {
         let (kvals, wflags) = random_kvals_wflags(&mut rng);
         let iters = (kvals.len() / 2) as u64;
         let mut plan = TestPlan::new();
-        plan.set(A, ProtocolKind::NonPriv);
+        plan.set(A, SpecVariant::NonPriv);
         let cfg = InstrumentConfig {
             plan,
             numbering: IterationNumbering::processor_wise(iters, 1),

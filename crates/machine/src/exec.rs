@@ -660,7 +660,7 @@ impl<'a> Executor<'a> {
     }
 
     fn physical(&self, arr: ArrayId, proc: ProcId) -> ArrayId {
-        if self.route_priv && self.ms.plan().kind_of(arr).is_privatized() {
+        if self.route_priv && self.ms.plan().privatizes(arr) {
             private_copy_id(arr, proc)
         } else {
             arr
@@ -727,7 +727,7 @@ mod tests {
     use specrt_ir::{BinOp, ProgramBuilder};
     use specrt_mem::{ElemSize, MemoryImage, PlacementPolicy};
     use specrt_proto::MemSystemConfig;
-    use specrt_spec::{IterationNumbering, ProtocolKind, TestPlan};
+    use specrt_spec::{IterationNumbering, SpecVariant, TestPlan};
 
     use crate::sched::StaticChunked;
 
@@ -832,7 +832,7 @@ mod tests {
         let (cfg, mut ms) = machine(2);
         ms.alloc_array(A, 64, ElemSize::W8, PlacementPolicy::RoundRobin);
         let mut plan = TestPlan::new();
-        plan.set(A, ProtocolKind::NonPriv);
+        plan.set(A, SpecVariant::NonPriv);
         ms.configure_loop(plan, IterationNumbering::iteration_wise());
         let mut image = MemoryImage::new();
         image.register(A, 64);
@@ -863,13 +863,7 @@ mod tests {
         let (cfg, mut ms) = machine(2);
         ms.alloc_array(A, 16, ElemSize::W8, PlacementPolicy::RoundRobin);
         let mut plan = TestPlan::new();
-        plan.set(
-            A,
-            ProtocolKind::Priv {
-                read_in: true,
-                copy_out: true,
-            },
-        );
+        plan.set(A, SpecVariant::Priv);
         ms.configure_loop(plan, IterationNumbering::iteration_wise());
         let mut image = MemoryImage::new();
         image.register(A, 16);

@@ -160,7 +160,7 @@ impl LoopSpec {
     pub fn backup_arrays(&self) -> Vec<ArrayId> {
         self.written_arrays()
             .into_iter()
-            .filter(|&id| !self.plan.kind_of(id).is_privatized())
+            .filter(|&id| !self.plan.privatizes(id))
             .collect()
     }
 }
@@ -169,7 +169,7 @@ impl LoopSpec {
 mod tests {
     use super::*;
     use specrt_ir::{Operand, ProgramBuilder};
-    use specrt_spec::ProtocolKind;
+    use specrt_spec::SpecVariant;
 
     fn spec() -> LoopSpec {
         let a = ArrayId(0);
@@ -178,7 +178,7 @@ mod tests {
         let v = pb.load(b, Operand::Iter);
         pb.store(a, Operand::Iter, Operand::Reg(v));
         let mut plan = TestPlan::new();
-        plan.set(a, ProtocolKind::NonPriv);
+        plan.set(a, SpecVariant::NonPriv);
         LoopSpec {
             name: "test".into(),
             body: pb.build().unwrap(),
@@ -213,13 +213,7 @@ mod tests {
         assert_eq!(s.written_arrays(), vec![ArrayId(0)]);
         assert_eq!(s.backup_arrays(), vec![ArrayId(0)]);
         // Privatizing the written array removes it from backup.
-        s.plan.set(
-            ArrayId(0),
-            ProtocolKind::Priv {
-                read_in: false,
-                copy_out: false,
-            },
-        );
+        s.plan.set(ArrayId(0), SpecVariant::Priv3);
         assert!(s.backup_arrays().is_empty());
     }
 

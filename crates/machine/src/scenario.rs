@@ -37,7 +37,7 @@ use specrt_lrpd::shadow::{CNT_ATM, CNT_ATW, CNT_BAD_NP, CNT_BAD_WR, CNT_LEN};
 use specrt_lrpd::{instrument_for_proc, sw_private_copy_id, InstrumentConfig, ShadowIds};
 use specrt_mem::{ArrayBackup, ElemSize, MemoryImage, NodeId, PlacementPolicy, ProcId};
 use specrt_proto::{private_copy_id, FaultConfig, NetSummary, TraceEvent};
-use specrt_spec::{fault, FailReason, IterationNumbering, ProtocolKind, TestPlan};
+use specrt_spec::{fault, FailReason, IterationNumbering, SpecVariant, TestPlan};
 
 use crate::config::{MachineConfig, RecoveryPolicy};
 use crate::exec::{ExecEnd, ExecSummary, Executor};
@@ -384,9 +384,9 @@ fn run_ideal(spec: &LoopSpec, cfg: MachineConfig) -> RunResult {
     // Privatized arrays keep their data path; non-privatized tested arrays
     // revert to plain coherence; no test runs at all.
     let mut plan = TestPlan::new();
-    for (arr, kind) in spec.plan.arrays_under_test() {
-        if kind.is_privatized() {
-            plan.set(arr, kind);
+    for (arr, variant) in spec.plan.arrays_under_test() {
+        if variant.is_privatized() {
+            plan.set(arr, variant);
         }
     }
     let priv_arrays = plan.priv_arrays();
@@ -567,7 +567,7 @@ fn setup_speculative_storage(spec: &LoopSpec, m: &mut Machine) -> Vec<ArrayId> {
         .live_after
         .iter()
         .copied()
-        .filter(|&a| spec.plan.kind_of(a).is_privatized())
+        .filter(|&a| spec.plan.privatizes(a))
         .collect();
     for &arr in &live_priv {
         let decl = spec.array(arr);
@@ -947,7 +947,7 @@ fn run_sw(spec: &LoopSpec, cfg: MachineConfig, variant: SwVariant) -> RunResult 
     let mut m = Machine::load(spec, cfg, false, None);
     let live_priv = setup_speculative_storage(spec, &mut m);
 
-    let tested: Vec<(ArrayId, ProtocolKind)> = spec.plan.arrays_under_test().collect();
+    let tested: Vec<(ArrayId, SpecVariant)> = spec.plan.arrays_under_test().collect();
     let priv_arrays = spec.plan.priv_arrays();
     // Processor-wise shadows are 1-bit-per-element bitmaps (§2.2.3),
     // manipulated 64 elements per word; iteration-wise shadows are 4-byte
@@ -1080,7 +1080,7 @@ fn run_sw(spec: &LoopSpec, cfg: MachineConfig, variant: SwVariant) -> RunResult 
     }
     // The verdict is read from the simulated machine's reduction output.
     let mut failing = Vec::new();
-    for &(arr, kind) in &tested {
+    for &(arr, protocol) in &tested {
         let g = reduce_id(arr);
         let atw = m.image.read(g, CNT_ATW).as_int();
         let slot1 = m.image.read(g, CNT_ATM).as_int();
@@ -1094,7 +1094,7 @@ fn run_sw(spec: &LoopSpec, cfg: MachineConfig, variant: SwVariant) -> RunResult 
             false
         } else if single_writers {
             true
-        } else if kind.is_privatized() {
+        } else if protocol.is_privatized() {
             !bad_np
         } else {
             false
@@ -1210,7 +1210,7 @@ mod tests {
         b.compute(120);
         let body = b.build().unwrap();
         let mut plan = TestPlan::new();
-        plan.set(A, ProtocolKind::NonPriv);
+        plan.set(A, SpecVariant::NonPriv);
         // K[i] = (i * 7) mod n is a permutation when gcd(7, n) = 1... we use
         // n a power of two, so it is.
         let k_init: Vec<Scalar> = (0..n).map(|i| Scalar::Int(((i * 7) % n) as i64)).collect();
@@ -1246,7 +1246,7 @@ mod tests {
         b.compute(120);
         let body = b.build().unwrap();
         let mut plan = TestPlan::new();
-        plan.set(A, ProtocolKind::NonPriv);
+        plan.set(A, SpecVariant::NonPriv);
         let k_init: Vec<Scalar> = (0..n).map(|i| Scalar::Int(((i * 7) % n) as i64)).collect();
         let a_init: Vec<Scalar> = (0..n).map(|i| Scalar::Float(i as f64)).collect();
         LoopSpec {
@@ -1291,13 +1291,7 @@ mod tests {
         b.compute(15);
         let body = b.build().unwrap();
         let mut plan = TestPlan::new();
-        plan.set(
-            A,
-            ProtocolKind::Priv {
-                read_in: false,
-                copy_out: false,
-            },
-        );
+        plan.set(A, SpecVariant::Priv3);
         LoopSpec {
             name: "workspace".into(),
             body,
@@ -1323,7 +1317,7 @@ mod tests {
             .arrays
             .iter()
             .map(|a| a.id)
-            .filter(|&id| !spec.plan.kind_of(id).is_privatized() || spec.live_after.contains(&id))
+            .filter(|&id| !spec.plan.privatizes(id) || spec.live_after.contains(&id))
             .collect();
         assert!(
             run.final_image.same_contents(&serial.final_image, &ids),
@@ -1427,7 +1421,7 @@ mod tests {
         b.store(A, Operand::Reg(half), Operand::Reg(v2));
         let body = b.build().unwrap();
         let mut plan = TestPlan::new();
-        plan.set(A, ProtocolKind::NonPriv);
+        plan.set(A, SpecVariant::NonPriv);
         let spec = LoopSpec {
             name: "pairs".into(),
             body,
@@ -1851,13 +1845,7 @@ mod stamp_window_tests {
         b.compute(20);
         let body = b.build().unwrap();
         let mut plan = TestPlan::new();
-        plan.set(
-            A,
-            ProtocolKind::Priv {
-                read_in: true,
-                copy_out: false,
-            },
-        );
+        plan.set(A, SpecVariant::Priv);
         LoopSpec {
             name: "stamp-window".into(),
             body,
@@ -1926,13 +1914,7 @@ mod stamp_window_tests {
         b.compute(10);
         let body = b.build().unwrap();
         let mut plan = TestPlan::new();
-        plan.set(
-            A,
-            ProtocolKind::Priv {
-                read_in: true,
-                copy_out: false,
-            },
-        );
+        plan.set(A, SpecVariant::Priv);
         let mk = |window| LoopSpec {
             name: "cross-window".into(),
             body: body.clone(),

@@ -87,24 +87,7 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_map_chunked(jobs, 1, items, f)
-}
-
-/// [`par_map`] with an explicit claim granularity: workers grab `chunk`
-/// consecutive indices per queue operation. Larger chunks amortize the
-/// (already tiny) atomic claim for very cheap items; `chunk = 1` maximizes
-/// load balance for coarse items like whole simulation runs.
-///
-/// # Panics
-///
-/// Panics if `chunk == 0`; re-raises the first worker panic otherwise.
-pub fn par_map_chunked<T, R, F>(jobs: usize, chunk: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_telemetry(jobs, chunk, items, f).0
+    par_map_telemetry(jobs, 1, items, f).0
 }
 
 /// Worker-pool counters from one [`par_map_telemetry`] run.
@@ -141,12 +124,16 @@ impl PoolTelemetry {
     }
 }
 
-/// [`par_map_chunked`] that also returns [`PoolTelemetry`] counters and
-/// instruments workers with `specrt-prof` spans (`par.worker`, `par.claim`,
-/// `par.case`) under per-worker `worker-N` labels.
+/// [`par_map`] with an explicit claim granularity that also returns
+/// [`PoolTelemetry`] counters. Workers grab `chunk` consecutive indices per
+/// queue operation: larger chunks amortize the (already tiny) atomic claim
+/// for very cheap items, and `chunk = 1` maximizes load balance for coarse
+/// items like whole simulation runs. Workers are instrumented with
+/// `specrt-prof` spans (`par.worker`, `par.claim`, `par.case`) under
+/// per-worker `worker-N` labels.
 ///
-/// The result vector is bit-for-bit identical to [`par_map_chunked`] for
-/// any pure `f`; only the telemetry side channel differs across `jobs`.
+/// The result vector is bit-for-bit identical for every `jobs` and `chunk`
+/// for any pure `f`; only the telemetry side channel differs.
 ///
 /// # Panics
 ///
@@ -268,7 +255,7 @@ mod tests {
     fn chunked_claims_cover_everything() {
         let items: Vec<usize> = (0..41).collect();
         for chunk in [1, 2, 7, 40, 41, 100] {
-            let got = par_map_chunked(4, chunk, &items, |i, &x| i + x);
+            let (got, _) = par_map_telemetry(4, chunk, &items, |i, &x| i + x);
             let want: Vec<usize> = (0..41).map(|x| 2 * x).collect();
             assert_eq!(got, want, "chunk={chunk}");
         }
@@ -296,7 +283,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "chunk size must be positive")]
     fn zero_chunk_panics() {
-        par_map_chunked(2, 0, &[1], |_, &x: &i32| x);
+        par_map_telemetry(2, 0, &[1], |_, &x: &i32| x);
     }
 
     #[test]

@@ -19,8 +19,7 @@ use specrt_mem::{ArrayLayout, ElemSize, LineAddr, NodeId, NumaAllocator, Placeme
 use specrt_net::{Delivery, FaultAction, FaultStats, NetConfig, NetSummary, Network};
 use specrt_spec::{
     nonpriv_complete_write, CacheEmission, CacheEvent, DirEmission, DirEvent, FailReason,
-    IterationNumbering, PrivateEffect, PrivateEvent, ProtocolKind, ProtocolSpec, RaceSite,
-    SpecVariant, TestPlan,
+    IterationNumbering, PrivateEffect, PrivateEvent, ProtocolSpec, RaceSite, SpecVariant, TestPlan,
 };
 use specrt_trace::{HitKind, TraceEvent, Tracer};
 
@@ -311,10 +310,7 @@ impl MemSystem {
     /// stores and cache access bits, and clears any recorded failure.
     pub fn configure_loop(&mut self, plan: TestPlan, numbering: IterationNumbering) {
         self.numbering = numbering;
-        for (arr, kind) in plan.arrays_under_test() {
-            let Some(variant) = kind.variant() else {
-                continue;
-            };
+        for (arr, variant) in plan.arrays_under_test() {
             if self.shared_dir.variant_of(arr) == Some(variant) {
                 continue;
             }
@@ -465,7 +461,7 @@ impl MemSystem {
         // construction the processor's own.
         let mut stale: Vec<(usize, LineAddr)> = Vec::new();
         for (arr, per_proc) in &self.private_layouts {
-            if self.plan.kind_of(*arr).variant() != Some(SpecVariant::Priv) {
+            if self.plan.variant_of(*arr) != Some(SpecVariant::Priv) {
                 continue;
             }
             for (p, layout) in per_proc.iter().enumerate() {
@@ -687,14 +683,6 @@ impl MemSystem {
         self.net_trace = on;
     }
 
-    /// `(l1_hits, l2_hits, misses)` summed over all processors.
-    pub fn cache_stats(&self) -> (u64, u64, u64) {
-        self.caches
-            .iter()
-            .map(CacheHierarchy::hit_stats)
-            .fold((0, 0, 0), |(a, b, c), (x, y, z)| (a + x, b + y, c + z))
-    }
-
     // ------------------------------------------------------------------
     // Access entry points
     // ------------------------------------------------------------------
@@ -725,8 +713,7 @@ impl MemSystem {
             self.case = None;
             let iter = self
                 .plan
-                .kind_of(arr)
-                .is_privatized()
+                .privatizes(arr)
                 .then(|| self.cur_eff_iter[proc.0 as usize]);
             self.cur_ctx = Some((Some(proc.0), arr.0, idx, iter));
             (
@@ -736,7 +723,7 @@ impl MemSystem {
         } else {
             (HitKind::Miss, None)
         };
-        let out = match (self.plan.kind_of(arr).variant(), is_write) {
+        let out = match (self.plan.variant_of(arr), is_write) {
             (None, w) => self.plain_access(proc, arr, idx, now, w),
             (Some(SpecVariant::NonPriv), false) => self.nonpriv_read(proc, arr, idx, now),
             (Some(SpecVariant::NonPriv), true) => self.nonpriv_write(proc, arr, idx, now),
@@ -767,7 +754,7 @@ impl MemSystem {
     /// What level `arr[idx]` would hit in `proc`'s caches (for tracing only;
     /// does not count as an access).
     fn probe_hit(&self, proc: ProcId, arr: ArrayId, idx: u64) -> HitKind {
-        let layout = if self.plan.kind_of(arr).is_privatized() {
+        let layout = if self.plan.privatizes(arr) {
             match self.private_layout_get(arr, proc) {
                 Some(l) => *l,
                 None => return HitKind::Miss,
@@ -786,7 +773,7 @@ impl MemSystem {
     /// Home node of the address `proc` actually accesses for `arr[idx]`
     /// (the local private copy for privatized arrays).
     fn trace_home(&self, proc: ProcId, arr: ArrayId, idx: u64) -> u32 {
-        if self.plan.kind_of(arr).is_privatized() {
+        if self.plan.privatizes(arr) {
             match self.private_layout_get(arr, proc) {
                 Some(l) => self.numa.home_of(l.addr_of(idx)).0,
                 None => proc.node().0,
@@ -799,7 +786,7 @@ impl MemSystem {
     /// Rendered speculative directory state of `arr[idx]` under the current
     /// plan, if the array is under test.
     fn spec_state_label(&self, arr: ArrayId, idx: u64) -> Option<(&'static str, String)> {
-        let protocol = match self.plan.kind_of(arr).variant()? {
+        let protocol = match self.plan.variant_of(arr)? {
             SpecVariant::NonPriv => "nonpriv",
             SpecVariant::Priv => "priv",
             SpecVariant::Priv3 => "priv-noreadin",
@@ -1618,7 +1605,7 @@ impl MemSystem {
         let Some((arr, first_elem)) = self.numa.address_map().locate(line.base()) else {
             return false;
         };
-        if self.plan.kind_of(arr) != ProtocolKind::NonPriv {
+        if self.plan.variant_of(arr) != Some(SpecVariant::NonPriv) {
             return false;
         }
         let layout = self.layout(arr);
@@ -1952,12 +1939,12 @@ impl MemSystem {
     /// current plan: arrays under test, and private copies of privatized
     /// arrays.
     fn array_is_tracked(&self, arr: ArrayId) -> bool {
-        if self.plan.kind_of(arr).is_under_test() {
+        if self.plan.variant_of(arr).is_some() {
             return true;
         }
         if arr.0 >= PRIVATE_ID_BASE {
             let base = ArrayId((arr.0 >> 8) & ((1 << 23) - 1));
-            return self.plan.kind_of(base).is_privatized();
+            return self.plan.privatizes(base);
         }
         false
     }
@@ -2091,7 +2078,7 @@ mod tests {
 
     fn nonpriv_plan() -> TestPlan {
         let mut p = TestPlan::new();
-        p.set(A, ProtocolKind::NonPriv);
+        p.set(A, SpecVariant::NonPriv);
         p
     }
 
@@ -2228,13 +2215,7 @@ mod tests {
 
     fn priv_plan() -> TestPlan {
         let mut p = TestPlan::new();
-        p.set(
-            A,
-            ProtocolKind::Priv {
-                read_in: true,
-                copy_out: true,
-            },
-        );
+        p.set(A, SpecVariant::Priv);
         p
     }
 

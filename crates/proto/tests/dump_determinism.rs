@@ -10,7 +10,7 @@ use specrt_engine::{Cycles, SplitMix64};
 use specrt_ir::ArrayId;
 use specrt_mem::{ElemSize, PlacementPolicy, ProcId};
 use specrt_proto::{LatencyConfig, MemSystem, MemSystemConfig, NetConfig};
-use specrt_spec::{IterationNumbering, ProtocolKind, TestPlan};
+use specrt_spec::{IterationNumbering, SpecVariant, TestPlan};
 
 const A: ArrayId = ArrayId(0);
 const B: ArrayId = ArrayId(1);
@@ -34,14 +34,8 @@ fn run_once() -> (String, Option<specrt_spec::FailReason>) {
     ms.alloc_array(A, 64, ElemSize::W8, PlacementPolicy::RoundRobin);
     ms.alloc_array(B, 64, ElemSize::W8, PlacementPolicy::RoundRobin);
     let mut plan = TestPlan::new();
-    plan.set(A, ProtocolKind::NonPriv);
-    plan.set(
-        B,
-        ProtocolKind::Priv {
-            read_in: true,
-            copy_out: false,
-        },
-    );
+    plan.set(A, SpecVariant::NonPriv);
+    plan.set(B, SpecVariant::Priv);
     ms.configure_loop(plan, IterationNumbering::iteration_wise());
 
     let mut rng = SplitMix64::new(0xd0_d0);

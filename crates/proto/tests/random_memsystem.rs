@@ -8,7 +8,7 @@ use specrt_engine::{Cycles, SplitMix64};
 use specrt_ir::ArrayId;
 use specrt_mem::{ElemSize, PlacementPolicy, ProcId};
 use specrt_proto::{LatencyConfig, MemSystem, MemSystemConfig};
-use specrt_spec::{IterationNumbering, ProtocolKind, TestPlan};
+use specrt_spec::{IterationNumbering, SpecVariant, TestPlan};
 
 const A: ArrayId = ArrayId(0);
 
@@ -58,7 +58,7 @@ fn nonpriv_never_misses_a_conflict() {
         let mut ms = small_system(4);
         ms.alloc_array(A, 64, ElemSize::W8, PlacementPolicy::RoundRobin);
         let mut plan = TestPlan::new();
-        plan.set(A, ProtocolKind::NonPriv);
+        plan.set(A, SpecVariant::NonPriv);
         ms.configure_loop(plan, IterationNumbering::iteration_wise());
 
         let mut now = Cycles(0);
@@ -101,7 +101,7 @@ fn nonpriv_exact_without_races() {
         let mut ms = small_system(3);
         ms.alloc_array(A, 64, ElemSize::W8, PlacementPolicy::RoundRobin);
         let mut plan = TestPlan::new();
-        plan.set(A, ProtocolKind::NonPriv);
+        plan.set(A, SpecVariant::NonPriv);
         ms.configure_loop(plan, IterationNumbering::iteration_wise());
 
         let mut now = Cycles(0);
@@ -158,13 +158,7 @@ fn priv_matches_stamp_oracle() {
         let mut ms = small_system(3);
         ms.alloc_array(A, 16, ElemSize::W8, PlacementPolicy::RoundRobin);
         let mut plan = TestPlan::new();
-        plan.set(
-            A,
-            ProtocolKind::Priv {
-                read_in: true,
-                copy_out: false,
-            },
-        );
+        plan.set(A, SpecVariant::Priv);
         ms.configure_loop(plan, IterationNumbering::iteration_wise());
 
         // Assign iterations round-robin: proc p executes iterations
@@ -236,13 +230,7 @@ fn priv_no_read_in_matches_mixed_use_rule() {
         let mut ms = small_system(3);
         ms.alloc_array(A, 16, ElemSize::W8, PlacementPolicy::RoundRobin);
         let mut plan = TestPlan::new();
-        plan.set(
-            A,
-            ProtocolKind::Priv {
-                read_in: false,
-                copy_out: false,
-            },
-        );
+        plan.set(A, SpecVariant::Priv3);
         ms.configure_loop(plan, IterationNumbering::iteration_wise());
 
         let mut iter_of = [0u64, 1, 2];

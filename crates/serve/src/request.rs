@@ -23,7 +23,7 @@ use specrt_machine::{
 };
 use specrt_par::Lane;
 use specrt_proto::{NetConfig, NodeFaultConfig, NodeFaultKind};
-use specrt_spec::ProtocolKind;
+use specrt_spec::SpecVariant;
 use specrt_workloads::{all_workloads, Scale};
 
 /// Protocol variant of a `case` request. Labels are the wire strings.
@@ -73,35 +73,18 @@ impl Protocol {
         }
     }
 
-    /// The `(protocol kind, live, scenario)` triple a single-scenario run
+    /// The `(protocol variant, live, scenario)` triple a single-scenario run
     /// uses ([`Protocol::Check`] runs every scenario and has no single
     /// triple).
-    pub fn run_plan(self) -> Option<(ProtocolKind, bool, Scenario)> {
+    pub fn run_plan(self) -> Option<(SpecVariant, bool, Scenario)> {
         match self {
-            Protocol::Serial => Some((ProtocolKind::NonPriv, true, Scenario::Serial)),
-            Protocol::Ideal => Some((ProtocolKind::NonPriv, true, Scenario::Ideal)),
-            Protocol::HwNonPriv => Some((ProtocolKind::NonPriv, true, Scenario::Hw)),
-            Protocol::HwPriv => Some((
-                ProtocolKind::Priv {
-                    read_in: true,
-                    copy_out: true,
-                },
-                true,
-                Scenario::Hw,
-            )),
-            Protocol::HwPriv3 => Some((
-                ProtocolKind::Priv {
-                    read_in: false,
-                    copy_out: false,
-                },
-                false,
-                Scenario::Hw,
-            )),
+            Protocol::Serial => Some((SpecVariant::NonPriv, true, Scenario::Serial)),
+            Protocol::Ideal => Some((SpecVariant::NonPriv, true, Scenario::Ideal)),
+            Protocol::HwNonPriv => Some((SpecVariant::NonPriv, true, Scenario::Hw)),
+            Protocol::HwPriv => Some((SpecVariant::Priv, true, Scenario::Hw)),
+            Protocol::HwPriv3 => Some((SpecVariant::Priv3, false, Scenario::Hw)),
             Protocol::SwLrpd => Some((
-                ProtocolKind::Priv {
-                    read_in: true,
-                    copy_out: true,
-                },
+                SpecVariant::Priv,
                 true,
                 Scenario::Sw(SwVariant::IterationWise),
             )),

@@ -166,7 +166,7 @@ impl ServeCore {
             let payload: Arc<str> = Arc::from(payload);
             core.cache.insert(job.key, Arc::clone(&payload));
             core.with_metrics(|m| {
-                m.absorb_stats("serve.run.", &stats);
+                m.absorb_stats("serve.run", &stats);
                 m.observe("serve.latency_us", elapsed_us(started));
                 m.incr("serve.completed", 1);
             });

@@ -68,6 +68,16 @@ fn duplicate_request_is_served_from_cache_byte_identically() {
     );
     assert_eq!(counter(&core, "serve.cache_hits"), 1);
     assert_eq!(counter(&core, "serve.cache_misses"), 2);
+    // Run counters land under `serve.run.*`, one dot between the parts.
+    assert!(counter(&core, "serve.run.transactions") > 0);
+    let snap = Json::parse(&core.metrics_snapshot_json()).expect("snapshot parses");
+    let Some(Json::Obj(counters)) = snap.get("counters") else {
+        panic!("snapshot has a counters object");
+    };
+    assert!(
+        counters.iter().all(|(name, _)| !name.contains("..")),
+        "counter names must not hold an empty part"
+    );
 
     // The payload is well-formed JSON with the canonical key and result.
     let v = Json::parse(&cold).unwrap();

@@ -63,7 +63,7 @@ pub use nonpriv::{
     NonPrivDirElem,
 };
 pub use packed::{KeyLayout, PackedState};
-pub use plan::{ProtocolKind, TestPlan};
+pub use plan::TestPlan;
 pub use privat::{priv_cache_read, priv_cache_write, PrivPrivateElem, PrivSharedElem};
 pub use privat3::{PrivNoReadInPrivate, PrivNoReadInShared};
 pub use protospec::{

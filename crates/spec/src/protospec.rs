@@ -513,7 +513,10 @@ impl ProtocolSpec {
 // System layer: what the model checker enumerates
 // ---------------------------------------------------------------------
 
-/// Which protocol variant the system-layer model runs.
+/// Which speculation protocol tests an array: the selector of the
+/// machine's [`TestPlan`](crate::TestPlan) and of the system-layer model
+/// alike. A privatized array's copy-out follows the loop's live-out
+/// arrays, not the variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SpecVariant {
     /// Non-privatization (Figs. 4, 6, 7).
@@ -540,6 +543,11 @@ impl SpecVariant {
     /// Parses a CLI name.
     pub fn parse(s: &str) -> Option<SpecVariant> {
         SpecVariant::ALL.into_iter().find(|v| v.name() == s)
+    }
+
+    /// Whether the variant privatizes the array (`Priv` and `Priv3`).
+    pub fn is_privatized(self) -> bool {
+        matches!(self, SpecVariant::Priv | SpecVariant::Priv3)
     }
 }
 

@@ -13,7 +13,7 @@
 use specrt_ir::{ArrayId, BinOp, Operand, ProgramBuilder, Scalar};
 use specrt_machine::{ArrayDecl, LoopSpec, ScheduleKind, SwVariant};
 use specrt_mem::ElemSize;
-use specrt_spec::{IterationNumbering, ProtocolKind, TestPlan};
+use specrt_spec::{IterationNumbering, SpecVariant, TestPlan};
 
 use crate::common::{permutation, rng_for, Scale, Workload};
 
@@ -93,17 +93,11 @@ pub fn instance(inv: u64, force_failure: bool) -> LoopSpec {
     let body = b.build().expect("adm body verifies");
 
     let mut plan = TestPlan::new();
-    plan.set(X, ProtocolKind::NonPriv);
+    plan.set(X, SpecVariant::NonPriv);
     if force_failure {
-        plan.set(T, ProtocolKind::NonPriv);
+        plan.set(T, SpecVariant::NonPriv);
     } else {
-        plan.set(
-            T,
-            ProtocolKind::Priv {
-                read_in: false,
-                copy_out: false,
-            },
-        );
+        plan.set(T, SpecVariant::Priv3);
     }
 
     LoopSpec {

@@ -50,13 +50,6 @@ pub struct Workload {
     pub sw_variant: SwVariant,
 }
 
-impl Workload {
-    /// Total iterations across all invocations.
-    pub fn total_iterations(&self) -> u64 {
-        self.invocations.iter().map(|s| s.iters).sum()
-    }
-}
-
 /// Deterministic RNG for invocation `inv` of workload `tag`.
 pub fn rng_for(tag: u64, inv: u64) -> SplitMix64 {
     SplitMix64::new(0x5EC0_0000_0000_0000 ^ (tag << 32) ^ inv)

@@ -16,7 +16,7 @@
 use specrt_ir::{ArrayId, BinOp, Operand, ProgramBuilder, Scalar};
 use specrt_machine::{ArrayDecl, LoopSpec, ScheduleKind, SwVariant};
 use specrt_mem::ElemSize;
-use specrt_spec::{IterationNumbering, ProtocolKind, TestPlan};
+use specrt_spec::{IterationNumbering, SpecVariant, TestPlan};
 
 use crate::common::{permutation, rng_for, Scale, Workload};
 
@@ -108,7 +108,7 @@ pub fn instance(inv: u64, force_failure: bool) -> LoopSpec {
         .collect();
 
     let mut plan = TestPlan::new();
-    plan.set(A, ProtocolKind::NonPriv);
+    plan.set(A, SpecVariant::NonPriv);
 
     LoopSpec {
         name: format!("ocean#{inv}{}", if force_failure { "!fail" } else { "" }),

@@ -14,7 +14,7 @@
 use specrt_ir::{ArrayId, BinOp, Operand, ProgramBuilder, Scalar};
 use specrt_machine::{ArrayDecl, LoopSpec, ScheduleKind, SwVariant};
 use specrt_mem::ElemSize;
-use specrt_spec::{IterationNumbering, ProtocolKind, TestPlan};
+use specrt_spec::{IterationNumbering, SpecVariant, TestPlan};
 
 use crate::common::{rng_for, Scale, Workload};
 
@@ -98,15 +98,9 @@ pub fn instance(iters: u64, force_failure: bool) -> LoopSpec {
 
     let mut plan = TestPlan::new();
     if force_failure {
-        plan.set(W, ProtocolKind::NonPriv);
+        plan.set(W, SpecVariant::NonPriv);
     } else {
-        plan.set(
-            W,
-            ProtocolKind::Priv {
-                read_in: false,
-                copy_out: false,
-            },
-        );
+        plan.set(W, SpecVariant::Priv3);
     }
 
     LoopSpec {

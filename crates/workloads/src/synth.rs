@@ -11,7 +11,7 @@
 use specrt_ir::{ArrayId, BinOp, Operand, ProgramBuilder, Scalar};
 use specrt_machine::{ArrayDecl, LoopSpec, ScheduleKind, SwVariant};
 use specrt_mem::ElemSize;
-use specrt_spec::{IterationNumbering, ProtocolKind, TestPlan};
+use specrt_spec::{IterationNumbering, SpecVariant, TestPlan};
 
 use crate::common::{permutation, rng_for};
 
@@ -60,7 +60,7 @@ pub fn conflict_loop(iters: u64, density: f64, seed: u64) -> LoopSpec {
     let body = b.build().expect("conflict loop verifies");
 
     let mut plan = TestPlan::new();
-    plan.set(A, ProtocolKind::NonPriv);
+    plan.set(A, SpecVariant::NonPriv);
     LoopSpec {
         name: format!("synth-density-{density:.2}#{seed}"),
         body,

@@ -14,7 +14,7 @@
 use specrt_ir::{ArrayId, BinOp, Operand, ProgramBuilder, Scalar};
 use specrt_machine::{ArrayDecl, LoopSpec, ScheduleKind, SwVariant};
 use specrt_mem::ElemSize;
-use specrt_spec::{IterationNumbering, ProtocolKind, TestPlan};
+use specrt_spec::{IterationNumbering, SpecVariant, TestPlan};
 
 use crate::common::{permutation, rng_for, Scale, Workload};
 
@@ -140,7 +140,7 @@ pub fn instance(inv: u64, paired: bool) -> LoopSpec {
 
     let mut plan = TestPlan::new();
     for arr in [A0, A1, A2, A3] {
-        plan.set(arr, ProtocolKind::NonPriv);
+        plan.set(arr, SpecVariant::NonPriv);
     }
 
     let tested_init = |scale: f64| -> Vec<Scalar> {

@@ -11,7 +11,7 @@
 use specrt::ir::{ArrayId, BinOp, Operand, ProgramBuilder, Scalar};
 use specrt::machine::{ArrayDecl, LoopSpec, ScheduleKind};
 use specrt::mem::ElemSize;
-use specrt::spec::{IterationNumbering, ProtocolKind, TestPlan};
+use specrt::spec::{IterationNumbering, SpecVariant, TestPlan};
 use specrt::{ParallelizationStrategy, SpeculativeRuntime};
 
 fn main() {
@@ -33,7 +33,7 @@ fn main() {
     let body = b.build().expect("body verifies");
 
     let mut plan = TestPlan::new();
-    plan.set(a, ProtocolKind::NonPriv);
+    plan.set(a, SpecVariant::NonPriv);
     let spec = LoopSpec {
         name: "time-step".into(),
         body,

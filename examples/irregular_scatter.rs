@@ -14,7 +14,7 @@ use specrt::ir::{ArrayId, BinOp, Operand, ProgramBuilder, Scalar};
 use specrt::machine::{ArrayDecl, LoopSpec, ScheduleKind};
 use specrt::mem::ElemSize;
 use specrt::report::{f2, Table};
-use specrt::spec::{IterationNumbering, ProtocolKind, TestPlan};
+use specrt::spec::{IterationNumbering, SpecVariant, TestPlan};
 use specrt::{ParallelizationStrategy, SpeculativeRuntime};
 
 fn build_loop(n: u64, row: u64) -> LoopSpec {
@@ -55,7 +55,7 @@ fn build_loop(n: u64, row: u64) -> LoopSpec {
         .collect();
 
     let mut plan = TestPlan::new();
-    plan.set(state, ProtocolKind::NonPriv);
+    plan.set(state, SpecVariant::NonPriv);
     LoopSpec {
         name: "irregular-scatter".into(),
         body,

@@ -20,7 +20,7 @@ use specrt::ir::{ArrayId, BinOp, Operand, ProgramBuilder, Scalar};
 use specrt::lrpd::{LrpdOutcome, LrpdShadow};
 use specrt::machine::{ArrayDecl, LoopSpec, ScheduleKind};
 use specrt::mem::ElemSize;
-use specrt::spec::{IterationNumbering, ProtocolKind, TestPlan};
+use specrt::spec::{IterationNumbering, SpecVariant, TestPlan};
 use specrt::{ParallelizationStrategy, SpeculativeRuntime};
 
 const K: [u64; 5] = [1, 2, 3, 4, 1];
@@ -69,7 +69,7 @@ fn main() {
     let body = b.build().unwrap();
 
     let mut plan = TestPlan::new();
-    plan.set(a, ProtocolKind::NonPriv);
+    plan.set(a, SpecVariant::NonPriv);
     let spec = LoopSpec {
         name: "figure2".into(),
         body,

@@ -12,7 +12,7 @@
 use specrt::ir::{ArrayId, BinOp, Operand, ProgramBuilder, Scalar};
 use specrt::machine::{ArrayDecl, LoopSpec, ScheduleKind};
 use specrt::mem::ElemSize;
-use specrt::spec::{IterationNumbering, ProtocolKind, TestPlan};
+use specrt::spec::{IterationNumbering, SpecVariant, TestPlan};
 use specrt::{ParallelizationStrategy, SpeculativeRuntime};
 
 fn main() {
@@ -47,13 +47,7 @@ fn main() {
     let body = b.build().expect("body verifies");
 
     let mut plan = TestPlan::new();
-    plan.set(
-        table,
-        ProtocolKind::Priv {
-            read_in: true,
-            copy_out: true,
-        },
-    );
+    plan.set(table, SpecVariant::Priv);
 
     let spec = LoopSpec {
         name: "privatized-workspace".into(),
@@ -98,7 +92,7 @@ fn main() {
     // test: early reads would consume uninitialized private copies, so the
     // compiler must request the full protocol.
     let mut basic = spec.clone();
-    basic.plan.set(table, ProtocolKind::NonPriv);
+    basic.plan.set(table, SpecVariant::NonPriv);
     let basic_run = runtime.run(&basic, ParallelizationStrategy::Hardware);
     println!(
         "same loop under the non-privatization test: passed = {:?} ({})",

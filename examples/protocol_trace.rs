@@ -15,7 +15,7 @@ use specrt::engine::Cycles;
 use specrt::ir::ArrayId;
 use specrt::mem::{ElemSize, PlacementPolicy, ProcId};
 use specrt::proto::{MemSystem, MemSystemConfig};
-use specrt::spec::{IterationNumbering, ProtocolKind, TestPlan};
+use specrt::spec::{IterationNumbering, SpecVariant, TestPlan};
 
 const A: ArrayId = ArrayId(0);
 
@@ -26,7 +26,7 @@ fn main() {
     });
     ms.alloc_array(A, 8, ElemSize::W8, PlacementPolicy::RoundRobin);
     let mut plan = TestPlan::new();
-    plan.set(A, ProtocolKind::NonPriv);
+    plan.set(A, SpecVariant::NonPriv);
     ms.configure_loop(plan, IterationNumbering::iteration_wise());
     ms.enable_event_trace(64);
 

@@ -20,7 +20,7 @@
 use specrt::ir::{ArrayId, BinOp, Operand, ProgramBuilder, Scalar};
 use specrt::machine::{ArrayDecl, LoopSpec, ScheduleKind};
 use specrt::mem::ElemSize;
-use specrt::spec::{IterationNumbering, ProtocolKind, TestPlan};
+use specrt::spec::{IterationNumbering, SpecVariant, TestPlan};
 use specrt::{ParallelizationStrategy, SpeculativeRuntime};
 
 fn main() {
@@ -45,7 +45,7 @@ fn main() {
 
     // Put A under the non-privatization test.
     let mut plan = TestPlan::new();
-    plan.set(a, ProtocolKind::NonPriv);
+    plan.set(a, SpecVariant::NonPriv);
 
     let spec = LoopSpec {
         name: "quickstart".into(),

@@ -4,7 +4,7 @@
 use specrt::ir::{ArrayId, Operand, ProgramBuilder, Scalar};
 use specrt::machine::{run_scenario, ArrayDecl, LoopSpec, Scenario, ScheduleKind, SwVariant};
 use specrt::mem::ElemSize;
-use specrt::spec::{IterationNumbering, ProtocolKind, TestPlan};
+use specrt::spec::{IterationNumbering, SpecVariant, TestPlan};
 
 const A: ArrayId = ArrayId(0);
 
@@ -12,7 +12,7 @@ fn base_spec(iters: u64, body_builder: impl FnOnce(&mut ProgramBuilder)) -> Loop
     let mut b = ProgramBuilder::new();
     body_builder(&mut b);
     let mut plan = TestPlan::new();
-    plan.set(A, ProtocolKind::NonPriv);
+    plan.set(A, SpecVariant::NonPriv);
     LoopSpec {
         name: "edge".into(),
         body: b.build().unwrap(),
@@ -169,7 +169,7 @@ fn all_processors_hammer_one_element() {
     let v2 = b.binop(specrt::ir::BinOp::Add, Operand::Reg(v), Operand::ImmI(1));
     b.store(A, Operand::ImmI(0), Operand::Reg(v2));
     let mut plan = TestPlan::new();
-    plan.set(A, ProtocolKind::NonPriv);
+    plan.set(A, SpecVariant::NonPriv);
     let spec = LoopSpec {
         name: "hammer".into(),
         body: b.build().unwrap(),
@@ -219,7 +219,7 @@ fn arrays_with_one_element() {
     b.bind(skip);
     b.compute(10);
     let mut plan = TestPlan::new();
-    plan.set(A, ProtocolKind::NonPriv);
+    plan.set(A, SpecVariant::NonPriv);
     let spec = LoopSpec {
         name: "one-elem".into(),
         body: b.build().unwrap(),

@@ -117,9 +117,7 @@ fn all_smoke_invocations_match_serial() {
                 .arrays
                 .iter()
                 .map(|a| a.id)
-                .filter(|&id| {
-                    !spec.plan.kind_of(id).is_privatized() || spec.live_after.contains(&id)
-                })
+                .filter(|&id| !spec.plan.privatizes(id) || spec.live_after.contains(&id))
                 .collect();
             for scenario in [Scenario::Hw, Scenario::Sw(w.sw_variant)] {
                 let r = run_scenario(spec, scenario, w.procs);

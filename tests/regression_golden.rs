@@ -124,7 +124,7 @@ fn insta_like(what: &str, got: u64, want: u64) {
 mod per_protocol_variant {
     use specrt::check::{CaseSpec, ARR_A, ARR_OUT};
     use specrt::machine::{run_scenario, RunResult, Scenario, SwVariant};
-    use specrt::spec::ProtocolKind;
+    use specrt::spec::SpecVariant;
 
     fn workspace() -> CaseSpec {
         // Template seed 5 of the fuzzer generator: 2 procs, 2 elements,
@@ -135,7 +135,7 @@ mod per_protocol_variant {
     fn serial() -> RunResult {
         let case = workspace();
         run_scenario(
-            &case.loop_spec(ProtocolKind::NonPriv, true),
+            &case.loop_spec(SpecVariant::NonPriv, true),
             Scenario::Serial,
             case.procs,
         )
@@ -145,7 +145,7 @@ mod per_protocol_variant {
     fn hw_nonpriv_aborts_and_restores_serial_image() {
         let case = workspace();
         let r = run_scenario(
-            &case.loop_spec(ProtocolKind::NonPriv, true),
+            &case.loop_spec(SpecVariant::NonPriv, true),
             Scenario::Hw,
             case.procs,
         );
@@ -159,13 +159,7 @@ mod per_protocol_variant {
     fn hw_priv_read_in_passes_with_serial_image() {
         let case = workspace();
         let r = run_scenario(
-            &case.loop_spec(
-                ProtocolKind::Priv {
-                    read_in: true,
-                    copy_out: true,
-                },
-                true,
-            ),
+            &case.loop_spec(SpecVariant::Priv, true),
             Scenario::Hw,
             case.procs,
         );
@@ -179,13 +173,7 @@ mod per_protocol_variant {
     fn hw_priv3_no_read_in_passes_on_live_outputs() {
         let case = workspace();
         let r = run_scenario(
-            &case.loop_spec(
-                ProtocolKind::Priv {
-                    read_in: false,
-                    copy_out: false,
-                },
-                false,
-            ),
+            &case.loop_spec(SpecVariant::Priv3, false),
             Scenario::Hw,
             case.procs,
         );
@@ -201,13 +189,7 @@ mod per_protocol_variant {
     fn sw_lrpd_iteration_wise_passes_with_serial_image() {
         let case = workspace();
         let r = run_scenario(
-            &case.loop_spec(
-                ProtocolKind::Priv {
-                    read_in: true,
-                    copy_out: true,
-                },
-                true,
-            ),
+            &case.loop_spec(SpecVariant::Priv, true),
             Scenario::Sw(SwVariant::IterationWise),
             case.procs,
         );
@@ -221,13 +203,7 @@ mod per_protocol_variant {
     fn sw_lrpd_processor_wise_passes_with_serial_image() {
         let case = workspace();
         let r = run_scenario(
-            &case.loop_spec(
-                ProtocolKind::Priv {
-                    read_in: true,
-                    copy_out: true,
-                },
-                true,
-            ),
+            &case.loop_spec(SpecVariant::Priv, true),
             Scenario::Sw(SwVariant::ProcessorWise),
             case.procs,
         );

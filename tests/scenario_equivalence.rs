@@ -8,7 +8,7 @@ use specrt::engine::SplitMix64;
 use specrt::ir::{ArrayId, BinOp, Operand, ProgramBuilder, Scalar};
 use specrt::machine::{run_scenario, ArrayDecl, LoopSpec, Scenario, ScheduleKind, SwVariant};
 use specrt::mem::ElemSize;
-use specrt::spec::{IterationNumbering, ProtocolKind, TestPlan};
+use specrt::spec::{IterationNumbering, SpecVariant, TestPlan};
 
 const A: ArrayId = ArrayId(0);
 const KR: ArrayId = ArrayId(1);
@@ -41,7 +41,7 @@ fn build_spec(
     let body = b.build().unwrap();
 
     let mut plan = TestPlan::new();
-    plan.set(A, ProtocolKind::NonPriv);
+    plan.set(A, SpecVariant::NonPriv);
     LoopSpec {
         name: "prop-loop".into(),
         body,
