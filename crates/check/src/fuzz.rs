@@ -8,8 +8,9 @@
 //!
 //! Case execution fans out over a [`specrt_par`] worker pool: every case is
 //! an independent, deterministic simulation, so the only ordering that
-//! matters is the *merge* order of the results — which [`fuzz_jobs`] keeps
-//! fixed at seed order regardless of the worker count. `fuzz(c, s)` and
+//! matters is the *merge* order of the results. [`fuzz_jobs`] sums the
+//! statistics, which any order does alike, and sorts failures into seed
+//! order regardless of the worker count. `fuzz(c, s)` and
 //! `fuzz_jobs(c, s, j)` therefore produce byte-identical reports for every
 //! `j ≥ 1`; a regression test and a CI cross-check pin that.
 
@@ -169,43 +170,60 @@ pub fn fuzz(cases: u64, seed: u64) -> FuzzReport {
     fuzz_jobs(cases, seed, 1)
 }
 
+/// One worker's share of a fuzz batch: its cases' merged statistics and
+/// its first failing cases, by index into the batch.
+#[derive(Default)]
+struct Share {
+    stats: StatSet,
+    failing: Vec<(usize, Vec<Mismatch>)>,
+}
+
 /// [`fuzz`] with the cases distributed over `jobs` worker threads.
 ///
-/// Per-worker [`StatSet`]s are merged in seed order (the merge is
-/// order-independent anyway — all counters are sums), failures are
-/// collected in seed order, and only then are the first `MAX_FAILURES`
-/// shrunk, on the calling thread. An active [`fault`] injection is
-/// replicated onto every worker. The report is byte-identical for every
-/// `jobs ≥ 1`.
+/// Each worker merges its cases' [`StatSet`]s into one set and keeps its
+/// first `MAX_FAILURES` failing cases (a worker runs its cases in seed
+/// order, so these include every one of its failures that can be among the
+/// batch's first). The workers' sets are then summed, their failures
+/// sorted into seed order and cut to `MAX_FAILURES`, and only those are
+/// shrunk, on the calling thread. Memory thus grows with the worker count,
+/// not the case count. An active [`fault`] injection is replicated onto
+/// every worker. The report is byte-identical for every `jobs ≥ 1`.
 pub fn fuzz_jobs(cases: u64, seed: u64, jobs: usize) -> FuzzReport {
     let seeds = case_seeds(cases, seed);
     let injected = fault::current();
-    let (results, pool) = specrt_par::par_map_telemetry(jobs, 1, &seeds, |_, &case_seed| {
-        let _guard = injected.map(fault::Injected::new);
-        let case = {
-            let _prof = specrt_prof::scope("fuzz.gen");
-            CaseSpec::generate(case_seed)
-        };
-        let _prof = specrt_prof::scope("fuzz.case");
-        run_case_full(&case)
-    });
+    let (shares, pool) =
+        specrt_par::par_fold(jobs, 1, &seeds, Share::default, |share, i, &case_seed| {
+            let _guard = injected.map(fault::Injected::new);
+            let case = {
+                let _prof = specrt_prof::scope("fuzz.gen");
+                CaseSpec::generate(case_seed)
+            };
+            let r = {
+                let _prof = specrt_prof::scope("fuzz.case");
+                run_case_full(&case)
+            };
+            share.stats.merge(&r.stats);
+            if !r.ok() && share.failing.len() < MAX_FAILURES {
+                share.failing.push((i, r.mismatches));
+            }
+        });
 
     let mut stats = StatSet::new();
-    let mut failing: Vec<(u64, Vec<Mismatch>)> = Vec::new();
-    for (&case_seed, r) in seeds.iter().zip(results) {
-        stats.merge(&r.stats);
-        if !r.ok() && failing.len() < MAX_FAILURES {
-            failing.push((case_seed, r.mismatches));
-        }
+    let mut failing = Vec::new();
+    for share in shares {
+        stats.merge(&share.stats);
+        failing.extend(share.failing);
     }
+    failing.sort_by_key(|&(i, _)| i);
+    failing.truncate(MAX_FAILURES);
     let failures = failing
         .into_iter()
-        .map(|(case_seed, mismatches)| {
+        .map(|(i, mismatches)| {
             let _prof = specrt_prof::scope("fuzz.shrink");
             FuzzFailure {
-                seed: case_seed,
+                seed: seeds[i],
                 mismatches,
-                shrunk: shrink(&CaseSpec::generate(case_seed), case_fails),
+                shrunk: shrink(&CaseSpec::generate(seeds[i]), case_fails),
             }
         })
         .collect();

@@ -74,11 +74,12 @@
 //!
 //! ## Determinism and parallelism
 //!
-//! Exploration is partitioned by script over `specrt_par::par_map`, whose
-//! results come back in input order; per-script exploration is
+//! Exploration is partitioned by script over `specrt_par::par_fold`: each
+//! worker folds its scripts' counts into totals of its own, so memory does
+//! not grow with the script count. Per-script exploration is
 //! deterministic, counters are sums, and the counterexample is re-derived
-//! from the first bad script — so reports are **byte-identical at any
-//! `--jobs`**. An active [`fault`] injection is re-installed in every
+//! from the lowest-indexed bad script — so reports are **byte-identical at
+//! any `--jobs`**. An active [`fault`] injection is re-installed in every
 //! worker thread (the injection is part of the transition function under
 //! test).
 
@@ -91,8 +92,8 @@ use specrt_engine::{Cycles, StatSet};
 use specrt_mem::ProcId;
 use specrt_spec::protospec::{MAX_INFLIGHT, MAX_LINES, MAX_PROCS};
 use specrt_spec::{
-    fault, DirElem, FlightMsg, InlineVec, PackedState, Pcs, PrivateDirElem, ProtocolSpec, RaceSite,
-    SpecEmission, SpecMessage, SpecScope, SpecState, SpecVariant,
+    fault, DirElem, Emissions, FlightMsg, InlineVec, PackedState, Pcs, PrivateDirElem,
+    ProtocolSpec, RaceSite, SpecEmission, SpecMessage, SpecScope, SpecState, SpecVariant,
 };
 use specrt_trace::{HitKind, TraceEvent};
 
@@ -570,17 +571,37 @@ fn reads_first(seq: &[Op], e: u64) -> bool {
         .unwrap_or(false)
 }
 
-/// Per-script exploration result (merged in script order, so totals are
-/// independent of worker count).
+/// Exploration totals: one script's ([`explore`]), or the sums over a
+/// worker's scripts and then over the workers ([`run_model`]). Every field
+/// merges by a sum or a minimum, so the totals do not depend on which
+/// worker explored which script.
 #[derive(Debug, Clone, Default)]
-struct ScriptOutcome {
+struct Totals {
     states: u64,
     dedup_hits: u64,
-    violation: bool,
+    /// Scripts with a quiescent PASS outside the envelope.
+    violations: u64,
     invariant_violations: u64,
-    any_pass: bool,
+    /// Envelope scripts that no interleaving lets PASS.
+    conservative: u64,
     /// Times each race site was taken, indexed like [`Coverage::counts`].
     sites: [u64; RaceSite::MAX_PER_VARIANT],
+    /// The lowest index of a script with a violation of either kind.
+    first_bad: Option<usize>,
+}
+
+impl Totals {
+    fn merge(&mut self, o: &Totals) {
+        self.states += o.states;
+        self.dedup_hits += o.dedup_hits;
+        self.violations += o.violations;
+        self.invariant_violations += o.invariant_violations;
+        self.conservative += o.conservative;
+        for (c, n) in self.sites.iter_mut().zip(o.sites) {
+            *c += n;
+        }
+        self.first_bad = self.first_bad.into_iter().chain(o.first_bad).min();
+    }
 }
 
 /// Location of the first bad state found, for path reconstruction:
@@ -618,17 +639,31 @@ pub type Enabled =
 
 /// Explores every interleaving of one script; if `want_path`, also returns
 /// a shortest event path to the first bad state (BFS depth order).
+///
+/// Every node is expanded in place: one decode buffer holds the popped
+/// node ([`KeyLayout::unpack_into`](specrt_spec::KeyLayout::unpack_into)),
+/// and each successor is stepped in one successor buffer, reset to the
+/// parent first, with one emission buffer
+/// ([`ProtocolSpec::step_into`]). A successor that FAILed is counted,
+/// memoised and checked like any other, but never enters the frontier:
+/// FAIL is absorbing, so expanding it would find nothing.
 fn explore(
     spec: &ProtocolSpec,
     script: &Script,
     want_path: bool,
-) -> (ScriptOutcome, Option<Vec<SpecMessage>>) {
+) -> (Totals, Option<Vec<SpecMessage>>) {
     let envelope = envelope_holds(spec.variant, script);
-    let mut outcome = ScriptOutcome::default();
+    let mut outcome = Totals::default();
+    let mut any_pass = false;
     let layout = spec.key_layout();
     // The variant's first site: `Coverage::counts` indexes from it.
     let first_site = RaceSite::of(spec.variant).next().map_or(0, |s| s as usize);
-    let init_key = spec.pack(&spec.init(), &Pcs::filled(0, spec.scope.procs as usize));
+    let mut s = spec.init();
+    let mut pcs = Pcs::filled(0, spec.scope.procs as usize);
+    // The successor buffer: reset to the parent before each step.
+    let mut ns;
+    let mut em = Emissions::filled(SpecEmission::Race(RaceSite::ALL[0]), 0);
+    let init_key = spec.pack(&s, &pcs);
     let mut memo: HashSet<PackedState, KeyBuild> = HashSet::default();
     memo.insert(init_key);
     outcome.states = 1;
@@ -639,7 +674,8 @@ fn explore(
     let mut bad: Option<BadState> = None;
 
     while let Some(key) = frontier.pop_front() {
-        let (s, pcs) = layout.unpack(&key);
+        layout.unpack_into(&key, &mut s, &mut pcs);
+        debug_assert!(!s.failed, "a failed node entered the frontier");
         let done = pcs
             .iter()
             .enumerate()
@@ -651,25 +687,21 @@ fn explore(
         // PASS/FAIL. Eviction messages stay enabled while copies remain, so
         // every done state reaches its flushed form within the exploration.
         let flushed = s.copies.iter().all(Option::is_none);
-        if !s.failed && done && s.inflight.is_empty() && flushed {
-            outcome.any_pass = true;
+        if done && s.inflight.is_empty() && flushed {
+            any_pass = true;
             if !envelope {
-                outcome.violation = true;
+                outcome.violations = 1;
                 if bad.is_none() {
                     bad = Some((key, None));
                 }
             }
         }
-        if s.failed {
-            // FAIL is absorbing: the speculation aborts, nothing further
-            // is protocol-relevant.
-            continue;
-        }
         if want_path && bad.is_some() {
             break;
         }
         for &m in &enabled_messages(spec, &s, &pcs, script) {
-            let (ns, em, written) = spec.step(&s, &m);
+            ns = s;
+            let written = spec.step_into(&m, &mut ns, &mut em);
             let mut npcs = pcs;
             if let SpecMessage::Access { proc, .. } = m {
                 npcs[proc as usize] += 1;
@@ -704,13 +736,18 @@ fn explore(
                 if want_path {
                     parents.insert(nkey, (key, m));
                 }
-                frontier.push_back(nkey);
+                // FAIL is absorbing: the speculation aborts, nothing
+                // further is protocol-relevant.
+                if !ns.failed {
+                    frontier.push_back(nkey);
+                }
             } else {
                 outcome.dedup_hits += 1;
             }
         }
     }
 
+    outcome.conservative = u64::from(envelope && !any_pass);
     let path = if want_path {
         bad.map(|(ancestor, extra)| {
             let mut path = Vec::new();
@@ -917,41 +954,42 @@ pub fn run_model(cfg: &ModelConfig) -> ModelReport {
     // Exploration runs the protocol code, which consults the thread-local
     // fault plane: re-install the caller's injection in every worker.
     let injected = fault::current();
-    let outcomes = specrt_par::par_map(cfg.jobs, &scripts, |_, script| {
-        let _guard = injected.map(fault::Injected::new);
-        explore(&spec, script, false).0
-    });
+    let (workers, _) = specrt_par::par_fold(
+        cfg.jobs,
+        1,
+        &scripts,
+        Totals::default,
+        |totals, i, script| {
+            let _guard = injected.map(fault::Injected::new);
+            let mut o = explore(&spec, script, false).0;
+            if o.violations + o.invariant_violations > 0 {
+                o.first_bad = Some(i);
+            }
+            totals.merge(&o);
+        },
+    );
+    let mut t = Totals::default();
+    for w in &workers {
+        t.merge(w);
+    }
 
     let mut report = ModelReport {
         variant: cfg.variant,
         scope,
         max_ops: cfg.max_ops,
         scripts: scripts.len() as u64,
-        states: 0,
-        dedup_hits: 0,
-        violations: 0,
-        invariant_violations: 0,
-        conservative: 0,
-        coverage: Coverage::new(cfg.variant),
+        states: t.states,
+        dedup_hits: t.dedup_hits,
+        violations: t.violations,
+        invariant_violations: t.invariant_violations,
+        conservative: t.conservative,
+        coverage: Coverage {
+            variant: cfg.variant,
+            counts: t.sites,
+        },
         counterexample: None,
     };
-    let mut first_bad = None;
-    for (i, (script, o)) in scripts.iter().zip(&outcomes).enumerate() {
-        report.states += o.states;
-        report.dedup_hits += o.dedup_hits;
-        report.violations += u64::from(o.violation);
-        report.invariant_violations += o.invariant_violations;
-        if envelope_holds(cfg.variant, script) && !o.any_pass {
-            report.conservative += 1;
-        }
-        for (c, n) in report.coverage.counts.iter_mut().zip(o.sites) {
-            *c += n;
-        }
-        if first_bad.is_none() && (o.violation || o.invariant_violations > 0) {
-            first_bad = Some(i);
-        }
-    }
-    if let Some(i) = first_bad {
+    if let Some(i) = t.first_bad {
         // Scripts are size-sorted, so the first bad script is minimal;
         // re-explore it with parent tracking for a shortest event path.
         let (_, path) = explore(&spec, &scripts[i], true);

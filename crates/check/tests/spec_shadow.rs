@@ -22,14 +22,20 @@
 //!   reached `(state, script positions)` node survives the model checker's
 //!   packed encoding unchanged (`unpack(pack(s, pcs)) == (s, pcs)`), and
 //!   that every successor's delta key, built from its parent's key and the
-//!   step's record of writes, equals its full pack.
+//!   step's record of writes, equals its full pack. It also runs the
+//!   explorer's in-place forms on reused buffers: every node decoded with
+//!   `unpack_into` over the previously decoded node must equal `unpack`,
+//!   and every transition stepped with `step_into` over the previous
+//!   successor and its emissions must equal `step`.
 
 use std::collections::HashSet;
 
 use specrt_check::{
     enabled_messages, enumerate_scripts, run_case, CaseSpec, ModelConfig, TEMPLATE_SEEDS,
 };
-use specrt_spec::{Pcs, ProtocolSpec, SpecMessage, SpecScope, SpecVariant};
+use specrt_spec::{
+    Emissions, Pcs, ProtocolSpec, RaceSite, SpecEmission, SpecMessage, SpecScope, SpecVariant,
+};
 
 /// Seeds beyond the hand-written templates, for generator variety.
 const RANDOM_SEEDS: u64 = 24;
@@ -88,11 +94,16 @@ fn step_is_pure_and_deterministic_over_the_reachable_state_space() {
 /// every node through the packed encoding and checking every successor's
 /// delta key against its full pack. Unlike the model checker proper
 /// it does NOT prune failed states — step must be pure on those too.
+/// Every node is decoded again, and every transition stepped again, in
+/// buffers reused across the whole walk, as the explorer reuses them.
 /// Returns the transitions checked and the unique nodes reached.
 fn walk(variant: SpecVariant, scope: SpecScope, max_ops: usize) -> (u64, u64) {
     let spec = ProtocolSpec::new(variant, scope);
     let layout = spec.key_layout();
     let (mut checked, mut nodes) = (0u64, 0u64);
+    let (mut decoded, mut decoded_pcs) = (spec.init(), Pcs::filled(0, scope.procs as usize));
+    let mut next;
+    let mut em = Emissions::filled(SpecEmission::Race(RaceSite::ALL[0]), 0);
     for script in enumerate_scripts(variant, scope, max_ops) {
         let mut seen = HashSet::new();
         let mut frontier = vec![(spec.init(), Pcs::filled(0, script.len()))];
@@ -108,6 +119,14 @@ fn walk(variant: SpecVariant, scope: SpecScope, max_ops: usize) -> (u64, u64) {
                 continue;
             }
             nodes += 1;
+            // The buffer still holds the previously decoded node.
+            layout.unpack_into(&key, &mut decoded, &mut decoded_pcs);
+            assert_eq!(
+                (decoded, decoded_pcs),
+                (s, pcs),
+                "{}: unpack_into kept part of the node its buffer held",
+                variant.name()
+            );
             for &m in &enabled_messages(&spec, &s, &pcs, &script) {
                 let before = s;
                 let (n1, e1, w1) = spec.step(&s, &m);
@@ -117,6 +136,16 @@ fn walk(variant: SpecVariant, scope: SpecScope, max_ops: usize) -> (u64, u64) {
                     (&n1, &e1, w1),
                     (&n2, &e2, w2),
                     "{}: step nondeterministic on {m:?}",
+                    variant.name()
+                );
+                // The parent is copied over the previous successor, and
+                // the emission buffer still holds the previous step's.
+                next = s;
+                let w3 = spec.step_into(&m, &mut next, &mut em);
+                assert_eq!(
+                    (&next, &em, w3),
+                    (&n1, &e1, w1),
+                    "{}: step_into on reused buffers differs from step on {m:?}",
                     variant.name()
                 );
                 checked += 1;

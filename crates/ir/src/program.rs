@@ -1,6 +1,7 @@
 //! Programs, the builder API, and static verification.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::instr::{ArrayId, BinOp, Instr, Operand, Reg};
 
@@ -9,10 +10,12 @@ use crate::instr::{ArrayId, BinOp, Instr, Operand, Reg};
 ///
 /// Construct with [`ProgramBuilder`]; [`ProgramBuilder::build`] verifies
 /// branch targets and register usage so interpreters can execute without
-/// bounds anxiety.
+/// bounds anxiety. A built program is immutable and shares its
+/// instructions, so a clone (one per processor of a phase) copies a
+/// pointer, not the instruction list.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
-    instrs: Vec<Instr>,
+    instrs: Arc<[Instr]>,
     reg_count: u16,
 }
 
@@ -50,7 +53,7 @@ impl Program {
     /// order. Useful for building memory layouts and dependence oracles.
     pub fn referenced_arrays(&self) -> Vec<ArrayId> {
         let mut seen = Vec::new();
-        for i in &self.instrs {
+        for i in self.instrs.iter() {
             let arr = match i {
                 Instr::Load { arr, .. } | Instr::Store { arr, .. } => Some(*arr),
                 _ => None,
@@ -285,7 +288,7 @@ impl ProgramBuilder {
             }
         }
         Ok(Program {
-            instrs: self.instrs,
+            instrs: self.instrs.into(),
             reg_count: self.next_reg,
         })
     }

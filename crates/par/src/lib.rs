@@ -18,13 +18,20 @@
 //!   the result path — and the caller reassembles them into a `Vec<R>`
 //!   indexed exactly like the input.
 //!
+//! That loop is [`par_fold`]: each worker folds its items into one
+//! accumulator of its own, and `par_map` is the fold whose accumulator is
+//! the worker's list of `(index, result)` pairs. A caller that only needs
+//! totals folds into them directly, so its memory does not grow with the
+//! item count.
+//!
 //! **Determinism guarantee:** for a pure `f`, `par_map(j, items, f)`
 //! returns the same `Vec<R>` for every `j ≥ 1`, including `j = 1` which
 //! runs inline without spawning. Thread scheduling only decides *who*
 //! computes an item, never *which* items are computed or how results are
-//! ordered. Anything order-dependent (stat merging, failure reporting) must
-//! therefore happen in the caller, on the returned in-order vector — which
-//! is what `specrt-check` and `specrt-core` do.
+//! ordered. Anything order-dependent must therefore happen in the caller,
+//! on the returned in-order vector, or through order-independent merges of
+//! [`par_fold`]'s accumulators (sums, minimums, a sort by index) — which is
+//! what `specrt-check` and `specrt-core` do.
 //!
 //! Worker panics propagate to the caller with their original payload, so
 //! `should_panic` tests and assertion failures inside cases behave exactly
@@ -125,12 +132,11 @@ impl PoolTelemetry {
 }
 
 /// [`par_map`] with an explicit claim granularity that also returns
-/// [`PoolTelemetry`] counters. Workers grab `chunk` consecutive indices per
+/// [`PoolTelemetry`] counters: a [`par_fold`] of `(index, result)` pairs,
+/// reassembled in item order. Workers grab `chunk` consecutive indices per
 /// queue operation: larger chunks amortize the (already tiny) atomic claim
 /// for very cheap items, and `chunk = 1` maximizes load balance for coarse
-/// items like whole simulation runs. Workers are instrumented with
-/// `specrt-prof` spans (`par.worker`, `par.claim`, `par.case`) under
-/// per-worker `worker-N` labels.
+/// items like whole simulation runs.
 ///
 /// The result vector is bit-for-bit identical for every `jobs` and `chunk`
 /// for any pure `f`; only the telemetry side channel differs.
@@ -149,67 +155,9 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    assert!(chunk > 0, "chunk size must be positive");
-    let jobs = jobs.clamp(1, items.len().div_ceil(chunk).max(1));
-    let telemetry = |claimed: Vec<u64>| PoolTelemetry {
-        workers: jobs,
-        chunk,
-        items: items.len(),
-        chunks: items.len().div_ceil(chunk),
-        claimed,
-    };
-    if jobs <= 1 {
-        let _worker = specrt_prof::scope("par.worker");
-        let out = items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let _case = specrt_prof::scope("par.case");
-                f(i, t)
-            })
-            .collect();
-        return (out, telemetry(vec![items.len() as u64]));
-    }
-    let next = AtomicUsize::new(0);
-    let next = &next;
-    let f = &f;
-    let parts: Vec<Vec<(usize, R)>> = thread::scope(|s| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|w| {
-                s.spawn(move || {
-                    specrt_prof::set_thread_label(&format!("worker-{w}"));
-                    let out = {
-                        let _worker = specrt_prof::scope("par.worker");
-                        let mut out = Vec::new();
-                        loop {
-                            let start = {
-                                let _claim = specrt_prof::scope("par.claim");
-                                next.fetch_add(chunk, Ordering::Relaxed)
-                            };
-                            if start >= items.len() {
-                                break;
-                            }
-                            let end = (start + chunk).min(items.len());
-                            for (i, item) in items.iter().enumerate().take(end).skip(start) {
-                                let _case = specrt_prof::scope("par.case");
-                                out.push((i, f(i, item)));
-                            }
-                        }
-                        out
-                    };
-                    // Scoped joins can beat TLS destructors; flush by hand so
-                    // this worker's spans reach the next take_report().
-                    specrt_prof::flush_thread();
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
+    let (parts, telemetry) = par_fold(jobs, chunk, items, Vec::new, |out, i, t| {
+        out.push((i, f(i, t)));
     });
-    let claimed: Vec<u64> = parts.iter().map(|p| p.len() as u64).collect();
     let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     for (i, r) in parts.into_iter().flatten() {
         debug_assert!(slots[i].is_none(), "index {i} claimed twice");
@@ -219,7 +167,99 @@ where
         .into_iter()
         .map(|r| r.expect("work queue claims every index exactly once"))
         .collect();
-    (out, telemetry(claimed))
+    (out, telemetry)
+}
+
+/// Folds every item into one accumulator per worker: each of up to `jobs`
+/// workers starts from `init()` and calls `fold(&mut acc, index, &item)`
+/// on each item it claims, `chunk` consecutive indices per queue
+/// operation. Returns the accumulators, indexed by worker id, with the
+/// [`PoolTelemetry`] of the run. `jobs <= 1` (or a single chunk) runs
+/// inline on the calling thread. Workers are instrumented with
+/// `specrt-prof` spans (`par.worker`, `par.claim`, `par.case`) under
+/// per-worker `worker-N` labels.
+///
+/// Which worker folds which item depends on thread scheduling, so a
+/// caller whose output must not depend on `jobs` merges the accumulators
+/// with an order-independent operation (sums, minimums, a sort by index).
+/// Each worker does see its own items in increasing index order, because
+/// the queue hands out chunks in index order. There is one accumulator per
+/// worker, however many items there are.
+///
+/// # Panics
+///
+/// Panics if `chunk == 0`; re-raises the first worker panic otherwise.
+pub fn par_fold<T, A, I, F>(
+    jobs: usize,
+    chunk: usize,
+    items: &[T],
+    init: I,
+    fold: F,
+) -> (Vec<A>, PoolTelemetry)
+where
+    T: Sync,
+    A: Send,
+    I: Fn() -> A + Sync,
+    F: Fn(&mut A, usize, &T) + Sync,
+{
+    assert!(chunk > 0, "chunk size must be positive");
+    let jobs = jobs.clamp(1, items.len().div_ceil(chunk).max(1));
+    let next = AtomicUsize::new(0);
+    // One worker's life: claim chunks from the shared cursor until none is
+    // left, folding each claimed item into the worker's accumulator.
+    let work = || {
+        let _worker = specrt_prof::scope("par.worker");
+        let (mut acc, mut claimed) = (init(), 0);
+        loop {
+            let start = {
+                let _claim = specrt_prof::scope("par.claim");
+                next.fetch_add(chunk, Ordering::Relaxed)
+            };
+            if start >= items.len() {
+                break;
+            }
+            let end = (start + chunk).min(items.len());
+            for (i, item) in items.iter().enumerate().take(end).skip(start) {
+                let _case = specrt_prof::scope("par.case");
+                fold(&mut acc, i, item);
+                claimed += 1;
+            }
+        }
+        (acc, claimed)
+    };
+    let parts: Vec<(A, u64)> = if jobs <= 1 {
+        vec![work()]
+    } else {
+        let work = &work;
+        thread::scope(|s| {
+            let handles: Vec<_> = (0..jobs)
+                .map(|w| {
+                    s.spawn(move || {
+                        specrt_prof::set_thread_label(&format!("worker-{w}"));
+                        let out = work();
+                        // Scoped joins can beat TLS destructors; flush by
+                        // hand so this worker's spans reach the next
+                        // take_report().
+                        specrt_prof::flush_thread();
+                        out
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        })
+    };
+    let (accs, claimed) = parts.into_iter().unzip();
+    let telemetry = PoolTelemetry {
+        workers: jobs,
+        chunk,
+        items: items.len(),
+        chunks: items.len().div_ceil(chunk),
+        claimed,
+    };
+    (accs, telemetry)
 }
 
 #[cfg(test)]
@@ -278,6 +318,33 @@ mod tests {
             })
         });
         assert!(r.is_err(), "panic must reach the caller");
+    }
+
+    #[test]
+    fn fold_keeps_one_accumulator_per_worker() {
+        let items: Vec<u64> = (0..101).collect();
+        for (jobs, chunk) in [(1, 1), (2, 1), (4, 3), (64, 1)] {
+            let (accs, t) = par_fold(
+                jobs,
+                chunk,
+                &items,
+                || (0u64, Vec::new()),
+                |(sum, seen), i, &x| {
+                    *sum += x;
+                    seen.push(i);
+                },
+            );
+            assert_eq!(accs.len(), t.workers, "jobs={jobs} chunk={chunk}");
+            assert_eq!(accs.iter().map(|a| a.0).sum::<u64>(), 5050);
+            let mut all: Vec<usize> = Vec::new();
+            for ((_, seen), &n) in accs.iter().zip(&t.claimed) {
+                assert!(seen.windows(2).all(|w| w[0] < w[1]), "in index order");
+                assert_eq!(seen.len() as u64, n);
+                all.extend(seen);
+            }
+            all.sort_unstable();
+            assert_eq!(all, (0..101).collect::<Vec<_>>());
+        }
     }
 
     #[test]

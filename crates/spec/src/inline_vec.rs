@@ -40,6 +40,11 @@ impl<T: Copy, const N: usize> InlineVec<T, N> {
         self.len += 1;
     }
 
+    /// Empties the vector, keeping its slots (stale, never observed).
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
+
     /// Removes and returns the item at `index`, shifting the rest down.
     ///
     /// # Panics
@@ -107,6 +112,10 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(&a[..], &[2, 3]);
         assert_eq!(format!("{a:?}"), "[2, 3]");
+        a.clear();
+        assert_eq!(a, InlineVec::filled(7, 0));
+        a.push(4);
+        assert_eq!(&a[..], &[4]);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! [`ProtocolSpec::pack`] writes the node into a fixed number of `u64`
 //! words, one fixed-width code per entity (the positions, each directory
 //! element, line copy, private-directory element and in-flight message),
-//! and [`KeyLayout::unpack`] reads it back, so two nodes are equal
+//! and [`KeyLayout::unpack`] reads it back ([`KeyLayout::unpack_into`]
+//! into a reused buffer), so two nodes are equal
 //! exactly when their packed forms are: a dedup set of packed keys never
 //! merges two distinct states. Every field's width comes from the scope
 //! limits ([`MAX_PROCS`], [`MAX_ELEMS`], [`MAX_LINES`], [`MAX_INFLIGHT`]);
@@ -372,11 +373,30 @@ impl KeyLayout {
     }
 
     /// Decodes a key [`ProtocolSpec::pack`] or [`KeyLayout::repack`]
-    /// produced under this layout's spec.
+    /// produced under this layout's spec: [`ProtocolSpec::init`] plus
+    /// [`Self::unpack_into`].
     pub fn unpack(&self, key: &PackedState) -> (SpecState, Pcs) {
+        let mut s = self.spec.init();
+        let mut pcs = Pcs::filled(0, self.spec.scope.procs as usize);
+        self.unpack_into(key, &mut s, &mut pcs);
+        (s, pcs)
+    }
+
+    /// [`Self::unpack`] into reused buffers: overwrites every field of `s`
+    /// and every position in `pcs`, clearing the in-flight queue before
+    /// refilling it, so nothing of the node they held survives. Both must
+    /// already have this spec's shape, as [`ProtocolSpec::init`] and
+    /// `unpack` build them; the shape is fixed per spec, so a buffer
+    /// decoded into once keeps it.
+    pub fn unpack_into(&self, key: &PackedState, s: &mut SpecState, pcs: &mut Pcs) {
         let spec = &self.spec;
-        let mut s = spec.init();
-        let mut pcs = Pcs::filled(0, spec.scope.procs as usize);
+        debug_assert!(
+            s.dir.len() == spec.scope.elems as usize
+                && s.copies.len() == spec.scope.procs as usize * spec.scope.lines as usize
+                && s.pdir.len() == spec.pdir_len()
+                && pcs.len() == spec.scope.procs as usize,
+            "decode buffer does not have the spec's shape"
+        );
         let header = key.get(0, self.header_bits);
         s.failed = header & 1 == 1;
         for (p, pc) in pcs.iter_mut().enumerate() {
@@ -392,12 +412,12 @@ impl KeyLayout {
         for (pi, p) in s.pdir.iter_mut().enumerate() {
             *p = spec.pdir_value(key.get(self.pdir_at(pi), self.pdir_bits));
         }
+        s.inflight.clear();
         let mut at = self.tail_at + COUNT_BITS;
         for _ in 0..key.get(self.tail_at, COUNT_BITS) {
             s.inflight.push(flight_value(key.get(at, FLIGHT_BITS)));
             at += FLIGHT_BITS;
         }
-        (s, pcs)
     }
 }
 
@@ -673,6 +693,13 @@ mod tests {
             };
             assert_eq!(layout.repack(&key0, &s, &pcs, all), key);
             assert_eq!(layout.repack(&key, &s0, &pcs0, all), key0);
+            // Decoding into a buffer that holds the other node leaves
+            // nothing of it behind, the full in-flight queue included.
+            let (mut buf, mut buf_pcs) = (s, pcs);
+            layout.unpack_into(&key0, &mut buf, &mut buf_pcs);
+            assert_eq!((buf, buf_pcs), (s0, pcs0));
+            layout.unpack_into(&key, &mut buf, &mut buf_pcs);
+            assert_eq!((buf, buf_pcs), (s, pcs));
         }
     }
 

@@ -26,8 +26,9 @@
 //!   the simulator executes.
 //!
 //! Determinism: `step` is a pure function of `(state, message)` — it
-//! copies its successor state and allocates nothing, emissions included;
-//! it never reads clocks or ambient configuration, and its only
+//! copies its successor state and allocates nothing, emissions included
+//! ([`ProtocolSpec::step_into`] runs the same step in caller-owned
+//! buffers); it never reads clocks or ambient configuration, and its only
 //! environmental input is the thread-local [`crate::fault`] injection
 //! plane (itself part of the conceptual input: a deliberately-broken
 //! protocol is a *different* transition function).
@@ -800,22 +801,24 @@ mod successor {
         pub(crate) inflight: bool,
     }
 
-    /// The successor state a step builds, and its record of writes.
-    pub(super) struct Successor {
-        state: SpecState,
+    /// The state a step turns into its successor in place, and its record
+    /// of writes.
+    pub(super) struct Successor<'a> {
+        state: &'a mut SpecState,
         written: Written,
     }
 
-    impl Successor {
-        pub(super) fn new(state: SpecState) -> Successor {
+    impl<'a> Successor<'a> {
+        /// Starts a step on `state`, which holds the parent.
+        pub(super) fn new(state: &'a mut SpecState) -> Successor<'a> {
             Successor {
                 state,
                 written: Written::default(),
             }
         }
 
-        pub(super) fn finish(self) -> (SpecState, Written) {
-            (self.state, self.written)
+        pub(super) fn finish(self) -> Written {
+            self.written
         }
 
         pub(super) fn fail(&mut self) {
@@ -866,11 +869,11 @@ mod successor {
         }
     }
 
-    impl Deref for Successor {
+    impl Deref for Successor<'_> {
         type Target = SpecState;
 
         fn deref(&self) -> &SpecState {
-            &self.state
+            self.state
         }
     }
 }
@@ -914,16 +917,36 @@ impl ProtocolSpec {
     /// `step(State, Message) -> (State, Emissions, Written)`. Pure — see
     /// the module docs for the determinism contract. [`Written`] records
     /// every entity of the successor the step wrote, for
-    /// [`KeyLayout::repack`](crate::packed::KeyLayout::repack).
+    /// [`KeyLayout::repack`](crate::packed::KeyLayout::repack). The
+    /// by-value form of [`Self::step_into`]: one copy of `s`, then the
+    /// step in place.
     ///
     /// # Panics
     ///
-    /// Panics on a message that is not enabled in `s` (delivery index out
-    /// of range, eviction of an absent copy, element out of scope), and on
-    /// a send past [`MAX_INFLIGHT`] messages.
+    /// Panics where [`Self::step_into`] does.
     pub fn step(&self, s: &SpecState, m: &SpecMessage) -> (SpecState, Emissions, Written) {
-        let mut next = Successor::new(*s);
+        let mut next = *s;
         let mut em = Emissions::filled(SpecEmission::Race(RaceSite::ALL[0]), 0);
+        let written = self.step_into(m, &mut next, &mut em);
+        (next, em, written)
+    }
+
+    /// [`Self::step`] in place: `next` holds the parent on entry and the
+    /// successor on return, `em` is cleared and then holds the step's
+    /// emissions, and the returned [`Written`] marks every entity of
+    /// `next` the step wrote. Every write goes through `Successor`'s
+    /// marking mutators, exactly as in `step`, so the model checker
+    /// steps one reused buffer per successor instead of returning states
+    /// by value.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a message that is not enabled in `next` (delivery index
+    /// out of range, eviction of an absent copy, element out of scope),
+    /// and on a send past [`MAX_INFLIGHT`] messages.
+    pub fn step_into(&self, m: &SpecMessage, next: &mut SpecState, em: &mut Emissions) -> Written {
+        em.clear();
+        let mut next = Successor::new(next);
         match *m {
             SpecMessage::Access { proc, write, elem } => {
                 assert!(elem < self.scope.elems, "element {elem} out of scope");
@@ -931,21 +954,17 @@ impl ProtocolSpec {
                 if !next.failed {
                     match self.variant {
                         SpecVariant::NonPriv => {
-                            self.nonpriv_access(&mut next, &mut em, proc, write, elem)
+                            self.nonpriv_access(&mut next, em, proc, write, elem)
                         }
-                        SpecVariant::Priv => {
-                            self.priv_access(&mut next, &mut em, proc, write, elem)
-                        }
-                        SpecVariant::Priv3 => {
-                            self.priv3_access(&mut next, &mut em, proc, write, elem)
-                        }
+                        SpecVariant::Priv => self.priv_access(&mut next, em, proc, write, elem),
+                        SpecVariant::Priv3 => self.priv3_access(&mut next, em, proc, write, elem),
                     }
                 }
             }
             SpecMessage::Deliver { index } => {
                 assert!(index < next.inflight.len(), "no in-flight message {index}");
                 if !next.failed {
-                    self.deliver(&mut next, &mut em, index);
+                    self.deliver(&mut next, em, index);
                 }
             }
             SpecMessage::Evict { proc, line } => {
@@ -955,12 +974,11 @@ impl ProtocolSpec {
                     // Dirty victims merge their tag state home (algorithm
                     // (e)); private-copy stamps are already authoritative
                     // in the private directory, so those just drop.
-                    self.merge_writeback(&mut next, &mut em, &copy, proc, line);
+                    self.merge_writeback(&mut next, em, &copy, proc, line);
                 }
             }
         }
-        let (next, written) = next.finish();
-        (next, em, written)
+        next.finish()
     }
 
     /// Private-directory entries: one per `(proc, elem)` under the
